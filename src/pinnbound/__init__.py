@@ -11,10 +11,11 @@ from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenP
                          measure_gap, moment_constants, pearson, sample_initial,
                          sample_interior, sweep_experiment, taylor_green_field,
                          taylor_green_initial)
-from .network import (FieldEval, PinnWeights, field_eval, forward, init_weights,
+from .network import (FieldEval, PinnWeights, field_eval, fields, init_weights,
                       load_checkpoint, save_checkpoint)
 from .residual import (CollocationSet, LossConfig, RiskBreakdown, empirical_risk,
-                       huber, huber_grad, loss_init, loss_res, momentum_residual)
+                       huber, huber_grad, initial_targets, loss_init, loss_res,
+                       momentum_residual)
 from .training import (OptimState, TrainConfig, adamw_step, grad_risk,
                        risk_breakdown, train)
 from .verify import (CheckReport, ConstraintGrid, RademacherEstimate,

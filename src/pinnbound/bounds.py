@@ -60,6 +60,14 @@ class BoundReport:
             "loss": asdict(self.loss_cfg),
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "BoundReport":
+        """Inverse of to_dict."""
+        keys = ("C1", "C2", "C_z", "C_z0", "term_interior", "term_initial", "N_r", "N_0")
+        return cls(stats=WeightStats(**doc["weight_stats"]),
+                   sigma=SigmaConstants(**doc["sigma_constants"]),
+                   loss_cfg=LossConfig(**doc["loss"]), **{k: doc[k] for k in keys})
+
 
 def weight_stats(weights: PinnWeights) -> WeightStats:
     """Reduce W, A1, a2 to the scalar caps the bound consumes.

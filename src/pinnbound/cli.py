@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, UNIT_BOX, SweepConfig, TaylorGreenParams,
-                         correlate, moment_constants, sample_initial,
-                         sample_interior, sweep_row, taylor_green_initial)
-from .network import init_weights, load_checkpoint, save_checkpoint
+from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig,
+                         TaylorGreenParams, moment_constants, sample_initial,
+                         sample_interior, sweep_experiment, sweep_row,
+                         taylor_green_initial)
+from .network import field_eval, init_weights, load_checkpoint, save_checkpoint
 from .residual import CollocationSet, LossConfig
 from .training import TrainConfig, train
 
@@ -44,7 +45,6 @@ DEFAULT_CONFIG = {
                "grid_size": 40, "sym_classes": 5, "sym_trials": 300,
                "sym_points": 10},
     "seed": 0,
-    "threads": 1,
 }
 
 PRESETS = {
@@ -117,16 +117,19 @@ def _loss(cfg: dict) -> LossConfig:
 
 def _train_cfg(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(seed=int(cfg["seed"]), **cfg["training"])
+        return TrainConfig(**cfg["training"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad training config: {exc}")
 
 
 def _sigma_constants(cfg: dict, spec: ActivationSpec) -> SigmaConstants:
     override = cfg["bound"].get("constants_override")
-    if override:
+    if not override:
+        return constants(spec)
+    try:
         return SigmaConstants(**override)
-    return constants(spec)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad constants_override: {exc}")
 
 
 def _box(cfg: dict) -> tuple:
@@ -152,18 +155,21 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     spec = _activation(cfg)
     loss_cfg = _loss(cfg)
     tc = _train_cfg(cfg)
-    box = np.asarray(_box(cfg), dtype=float)
-    d, p = int(cfg["dims"]["d"]), int(cfg["dims"]["p"])
-    seed = int(cfg["seed"])
-    n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
-    if len(box) != d + 1:
-        raise UsageError(f"box has {len(box)} axes but d+1 = {d + 1}")
-    if d != 2:
-        raise UsageError("the benchmark initial condition is 2-dimensional")
-    colloc = CollocationSet(interior=sample_interior(n_r, box, seed),
-                            initial=sample_initial(n_0, box[:-1], seed + 1))
-    f0 = taylor_green_initial(TaylorGreenParams(nu=loss_cfg.nu, domain=_box(cfg)))
-    weights0 = init_weights(d, p, seed + 2, w_scale=cfg["sampling"]["w_scale"])
+    try:
+        box = np.asarray(_box(cfg), dtype=float)
+        d, p = int(cfg["dims"]["d"]), int(cfg["dims"]["p"])
+        seed = int(cfg["seed"])
+        n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
+        if len(box) != d + 1:
+            raise UsageError(f"box has {len(box)} axes but d+1 = {d + 1}")
+        if d != 2:
+            raise UsageError("the benchmark initial condition is 2-dimensional")
+        colloc = CollocationSet(interior=sample_interior(n_r, box, seed),
+                                initial=sample_initial(n_0, box[:-1], seed + 1))
+        f0 = taylor_green_initial(TaylorGreenParams(nu=loss_cfg.nu, domain=_box(cfg)))
+        weights0 = init_weights(d, p, seed + 2, w_scale=cfg["sampling"]["w_scale"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad train config: {exc}")
     try:
         weights, history = train(weights0, spec, loss_cfg, colloc, f0, tc)
     except RuntimeError as exc:
@@ -267,10 +273,9 @@ def _verify_reports(cfg: dict):
     def sampler(r, n):
         return r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2))
 
-    from .network import field_eval
+    spec = _activation(cfg)
     for i in range(int(v["sym_classes"])):
         nets = [init_weights(2, 4, seed=seed + 50 + i * 10 + j) for j in range(3)]
-        spec = _activation(cfg)
         hyps = [lambda z, w=w: field_eval(w, spec, z) for w in nets]
         reports.append(verify.check_symmetrization(
             hyps, loss_cfg, sampler, f0, n_points=int(v["sym_points"]),
@@ -295,18 +300,18 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 
 def _sweep_config(cfg: dict) -> SweepConfig:
+    spec = _activation(cfg)
     return SweepConfig(
         n_r_values=tuple(int(n) for n in cfg["sweep"]["n_r_values"]),
         n_0=int(cfg["sampling"]["n_0"]),
         width=int(cfg["dims"]["p"]),
-        activation=_activation(cfg),
+        activation=spec,
         loss=_loss(cfg),
         train=_train_cfg(cfg),
         box=_box(cfg),
         seed=int(cfg["seed"]),
         population_factor=int(cfg["sweep"]["population_factor"]),
-        sigma_constants=(SigmaConstants(**cfg["bound"]["constants_override"])
-                         if cfg["bound"].get("constants_override") else None),
+        sigma_constants=_sigma_constants(cfg, spec),
     )
 
 
@@ -316,61 +321,57 @@ _SWEEP_COLUMNS = ["N_r", "N_0", "activation", "nu", "delta", "lambda0", "lambda1
 
 
 def _row_csv_record(cfg: dict, row: dict) -> list:
-    b = row["bound"]
     act = f"{cfg['activation']['family']}^{cfg['activation']['k']}"
-    vals = {"N_r": row["N_r"], "N_0": row["N_0"], "activation": act,
-            "nu": cfg["loss"]["nu"], "delta": cfg["loss"]["delta"],
-            "lambda0": cfg["loss"]["lambda0"], "lambda1": cfg["loss"]["lambda1"],
-            "train_risk": row["train_risk"],
-            "population_estimate": row["population_estimate"], "gap": row["gap"],
-            "C1": b["C1"], "C2": b["C2"], "C_z": b["C_z"], "C_z0": b["C_z0"],
-            "term_interior": b["term_interior"], "term_initial": b["term_initial"],
-            "bound_total": b["total"], "seed": row["seed"]}
+    vals = {**row["bound"], **row, **cfg["loss"], "activation": act,
+            "bound_total": row["bound"]["total"]}
     return [repr(vals[k]) if isinstance(vals[k], float) else vals[k]
             for k in _SWEEP_COLUMNS]
+
+
+def _cached_sweep_row(cfg: dict, out_dir: Path):
+    """`sweep_row` behind one file per row.  A row file is reused only
+    when the config embedded in it equals `cfg`; otherwise the row is
+    computed again and its file overwritten."""
+    def row(sweep_cfg: SweepConfig, idx: int) -> GapReport:
+        n_r = sweep_cfg.n_r_values[idx]
+        path = out_dir / f"row_{idx:02d}_nr{n_r}.json"
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, ValueError):
+            doc = {}
+        if doc.get("config") == cfg:
+            print(f"N_r={n_r}: cached")
+            return GapReport.from_dict(doc["row"])
+        report = sweep_row(sweep_cfg, idx)
+        _write_json(path, {"row": report.to_dict()}, cfg)
+        print(f"N_r={n_r}: gap={report.gap:.4g} bound={report.bound.total:.4g}")
+        return report
+    return row
 
 
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     try:
         sweep_cfg = _sweep_config(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad sweep config: {exc}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    failed: list[dict] = []
-    for idx, n_r in enumerate(sweep_cfg.n_r_values):
-        cache = out_dir / f"row_{idx:02d}_nr{n_r}.json"
-        if cache.exists():
-            with open(cache) as fh:
-                rows.append(json.load(fh)["row"])
-            print(f"N_r={n_r}: cached")
-            continue
-        try:
-            row = sweep_row(sweep_cfg, idx).to_dict()
-        except RuntimeError as exc:
-            failed.append({"N_r": int(n_r), "index": idx, "error": str(exc)})
-            print(f"N_r={n_r}: training diverged ({exc})", file=sys.stderr)
-            continue
-        _write_json(cache, {"row": row}, cfg)
-        rows.append(row)
-        print(f"N_r={n_r}: gap={row['gap']:.4g} bound={row['bound']['total']:.4g}")
-    r = correlate([row["bound"]["total"] for row in rows],
-                  [row["gap"] for row in rows])
+    report = sweep_experiment(sweep_cfg, _cached_sweep_row(cfg, out_dir))
+    for fail in report.failed_rows:
+        print(f"N_r={fail['N_r']}: training diverged ({fail['error']})", file=sys.stderr)
+    doc = report.to_dict()
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
+        for row in doc["rows"]:
             writer.writerow(_row_csv_record(cfg, row))
     with open(out_dir / "bound_vs_gap.dat", "w") as fh:
         fh.write("# bound_total gap\n")
-        for row in rows:
+        for row in doc["rows"]:
             fh.write(f"{row['bound']['total']!r} {row['gap']!r}\n")
-    _write_json(out_dir / "sweep.json",
-                {"rows": rows, "pearson_r": r, "failed_rows": failed}, cfg)
+    _write_json(out_dir / "sweep.json", doc, cfg)
+    r = report.pearson_r
     print(f"pearson_r = {r}" if r is not None else "pearson_r undefined (constant column)")
-    if failed and not rows:
-        return 2
-    return 0
+    return 2 if report.failed_rows and not report.rows else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named config preset")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="train a network; writes checkpoint + history CSV")
     p_bound = sub.add_parser("bound", help="evaluate the bound for a checkpoint")
@@ -401,7 +400,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        cfg["threads"] = args.threads
         out_dir = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, out_dir)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds
 from .activations import ActivationSpec, SigmaConstants, constants
-from .network import FieldEval, PinnWeights, field_eval, init_weights
+from .network import FieldEval, PinnWeights, init_weights
 from .residual import CollocationSet, LossConfig
 from .training import TrainConfig, risk_breakdown, train
 
@@ -41,40 +41,37 @@ class TaylorGreenParams:
 
 
 def taylor_green_field(z, params: TaylorGreenParams) -> FieldEval:
-    """Closed-form field and all its derivatives at z = (x, y, t)."""
+    """Closed-form field and all its derivatives at z = (x, y, t); for points
+    z of shape (..., 3) every entry of the result leads with the same axes."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (3,):
-        raise ValueError("the vortex solution is 2-dimensional: z must be (x, y, t)")
-    x, y, t = z
+    if z.shape[-1:] != (3,):
+        raise ValueError("the vortex solution is 2-dimensional: z must be (..., 3) = (x, y, t)")
+    x, y, t = z[..., 0], z[..., 1], z[..., 2]
     nu, rho = params.nu, params.rho
     pi = math.pi
-    E = math.exp(-2.0 * pi * pi * nu * t)
+    E = np.exp(-2.0 * pi * pi * nu * t)
     E2 = E * E
-    cx, sx = math.cos(pi * x), math.sin(pi * x)
-    cy, sy = math.cos(pi * y), math.sin(pi * y)
+    cx, sx = np.cos(pi * x), np.sin(pi * x)
+    cy, sy = np.cos(pi * y), np.sin(pi * y)
 
-    u = -cx * sy * E
-    v = sx * cy * E
-    p_val = -0.25 * rho * (math.cos(2 * pi * x) + math.cos(2 * pi * y)) * E2
-
-    du_dt = np.array([-2.0 * pi * pi * nu * u, -2.0 * pi * pi * nu * v])
-    jac = np.array([
-        [pi * sx * sy * E, -pi * cx * cy * E],
-        [pi * cx * cy * E, -pi * sx * sy * E],
-    ])
-    grad_p = np.array([
-        0.5 * rho * pi * math.sin(2 * pi * x) * E2,
-        0.5 * rho * pi * math.sin(2 * pi * y) * E2,
-    ])
-    lap = np.array([-2.0 * pi * pi * u, -2.0 * pi * pi * v])
-    return FieldEval(u=np.array([u, v]), p_val=p_val, du_dt=du_dt, jac_u=jac,
-                     grad_p=grad_p, lap_u=lap, div_u=float(np.trace(jac)))
+    vel = np.stack([-cx * sy * E, sx * cy * E], axis=-1)
+    p_val = -0.25 * rho * (np.cos(2 * pi * x) + np.cos(2 * pi * y)) * E2
+    jac = np.stack([
+        np.stack([pi * sx * sy * E, -pi * cx * cy * E], axis=-1),
+        np.stack([pi * cx * cy * E, -pi * sx * sy * E], axis=-1),
+    ], axis=-2)
+    grad_p = 0.5 * rho * pi * np.stack([np.sin(2 * pi * x), np.sin(2 * pi * y)], axis=-1)
+    return FieldEval(u=vel, p_val=p_val, du_dt=-2.0 * pi * pi * nu * vel, jac_u=jac,
+                     grad_p=grad_p * E2[..., None], lap_u=-2.0 * pi * pi * vel,
+                     div_u=jac[..., 0, 0] + jac[..., 1, 1])
 
 
 def taylor_green_initial(params: TaylorGreenParams):
-    """The t=0 velocity slice, as an initial-condition function x -> u."""
+    """The t=0 velocity slice, as an initial-condition function mapping
+    (..., 2) spatial points to (..., 2) velocities."""
     def f0(x):
-        return taylor_green_field(np.array([x[0], x[1], 0.0]), params).u
+        x = np.asarray(x, dtype=float)
+        return taylor_green_field(np.append(x, np.zeros_like(x[..., :1]), axis=-1), params).u
     return f0
 
 
@@ -96,11 +93,7 @@ def sample_interior(n: int, box, seed: int) -> np.ndarray:
 
 def sample_initial(n: int, box, seed: int) -> np.ndarray:
     """n i.i.d. uniform spatial points (the box here is spatial only)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    box = _check_box(box)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(box[:, 0], box[:, 1], size=(n, len(box)))
+    return sample_interior(n, box, seed)
 
 
 def moment_constants(interior_samples, initial_samples) -> tuple[float, float]:
@@ -145,6 +138,12 @@ class GapReport:
                 "population_points": self.population_points, "gap": self.gap,
                 "bound": self.bound.to_dict(), "seed": self.seed}
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "GapReport":
+        """Inverse of to_dict."""
+        keys = ("N_r", "N_0", "train_risk", "population_estimate", "population_points", "seed")
+        return cls(bound=bounds.BoundReport.from_dict(doc["bound"]), **{k: doc[k] for k in keys})
+
 
 def measure_gap(weights: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
                 train_colloc: CollocationSet, f0, population_points: int, seed: int,
@@ -187,6 +186,10 @@ class SweepConfig:
     def __post_init__(self):
         if len(self.n_r_values) < 3:
             raise ValueError("need at least 3 N_r values for a correlation")
+        if min(self.n_r_values) < 1 or self.n_0 < 1 or self.width < 1:
+            raise ValueError("N_r values, n_0 and width must be >= 1")
+        if any(self.population_factor * max(n, self.n_0) < 10 * n for n in self.n_r_values):
+            raise ValueError("population_factor * max(N_r, n_0) must be >= 10 * N_r")
 
 
 @dataclass
@@ -231,17 +234,19 @@ def correlate(bound_totals, gaps) -> float | None:
         return None
 
 
-def sweep_experiment(cfg: SweepConfig) -> CorrelationReport:
+def sweep_experiment(cfg: SweepConfig, row=None) -> CorrelationReport:
     """Train one net per N_r, measure its gap, evaluate its bound, and
     correlate bound against gap across the rows.
 
-    Rows whose training diverges are recorded in failed_rows and excluded.
+    `row(cfg, idx)` computes one row (default `sweep_row`, which a cache may
+    wrap).  Rows whose training diverges are recorded in failed_rows and excluded.
     """
+    row = row or sweep_row
     rows: list[GapReport] = []
     failed: list[dict] = []
     for idx, n_r in enumerate(cfg.n_r_values):
         try:
-            rows.append(sweep_row(cfg, idx))
+            rows.append(row(cfg, idx))
         except RuntimeError as exc:
             failed.append({"N_r": int(n_r), "index": idx, "error": str(exc)})
     r = correlate([row.bound.total for row in rows], [row.gap for row in rows])

@@ -3,7 +3,8 @@
 The network maps z = (x_1..x_d, t) to a velocity u = A1 @ sigma(W z) and
 a pressure p = <a2, sigma(W z)>.  Only W trains; A1 and a2 stay frozen.
 All space-time derivatives have closed forms built from sigma' and
-sigma'' of the pre-activations, which this module evaluates directly.
+sigma'' of the pre-activations; `fields` is the one place they are
+evaluated, for a batch of points or, through `field_eval`, for one.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class PinnWeights:
 
 @dataclass
 class FieldEval:
-    """All derivatives of a velocity/pressure field at one space-time point."""
+    """All derivatives of a velocity/pressure field at one space-time point.
+    A field at N points has the same entries with a leading N axis."""
 
     u: np.ndarray        # (d,) velocity
     p_val: float
@@ -66,39 +68,33 @@ class FieldEval:
     div_u: float
 
 
-def _check_point(weights: PinnWeights, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (weights.d + 1,):
-        raise ValueError(f"point has shape {z.shape}, expected ({weights.d + 1},)")
-    return z
-
-
-def forward(weights: PinnWeights, spec: ActivationSpec, z):
-    """Velocity and pressure at z = (x, t)."""
-    z = _check_point(weights, z)
-    s = eval_derivs(spec, weights.W @ z)[0]
-    return weights.A1 @ s, float(weights.a2 @ s)
+def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tuple]:
+    """Closed-form field at each row of Z (N, d+1): values and the space-time
+    derivatives the residuals need, plus the activation stack sigma..sigma'''
+    at the pre-activations, each (N, p), which the W-gradient reuses."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != weights.d + 1:
+        raise ValueError(f"points have shape {Z.shape}, expected (N, {weights.d + 1})")
+    W, A1, a2 = weights.W, weights.A1, weights.a2
+    d = weights.d
+    stack = eval_derivs(spec, Z @ W.T)
+    s0, s1, s2, _ = stack
+    Wx = W[:, :d]
+    jac = np.einsum("nq,kq,qm->nkm", s1, A1, Wx)
+    fe = FieldEval(u=s0 @ A1.T, p_val=s0 @ a2, du_dt=(s1 * W[:, d]) @ A1.T,
+                   jac_u=jac, grad_p=(s1 * a2) @ Wx,
+                   lap_u=(s2 * np.sum(Wx * Wx, axis=1)) @ A1.T,
+                   div_u=jac.trace(axis1=1, axis2=2))
+    return fe, stack
 
 
 def field_eval(weights: PinnWeights, spec: ActivationSpec, z) -> FieldEval:
-    """Closed-form field evaluation: values plus all first/second space-time
-    derivatives needed by the momentum and divergence residuals."""
-    z = _check_point(weights, z)
-    W, A1, a2 = weights.W, weights.A1, weights.a2
-    d = weights.d
-    s0, s1, s2, _ = eval_derivs(spec, W @ z)
-    w_t = W[:, d]
-    Wx = W[:, :d]
-
-    u = A1 @ s0
-    p_val = float(a2 @ s0)
-    du_dt = A1 @ (w_t * s1)
-    jac_u = np.einsum("kq,qm,q->km", A1, Wx, s1)
-    grad_p = Wx.T @ (a2 * s1)
-    lap_u = A1 @ (np.sum(Wx * Wx, axis=1) * s2)
-    div_u = float(np.trace(jac_u))
-    return FieldEval(u=u, p_val=p_val, du_dt=du_dt, jac_u=jac_u,
-                     grad_p=grad_p, lap_u=lap_u, div_u=div_u)
+    """The field at one point z = (x, t): row 0 of `fields`."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (weights.d + 1,):
+        raise ValueError(f"point has shape {z.shape}, expected ({weights.d + 1},)")
+    fe, _ = fields(weights, spec, z[None])
+    return FieldEval(**{name: val[0] for name, val in vars(fe).items()})
 
 
 def init_weights(d: int, p: int, seed: int, w_scale: float | None = None) -> PinnWeights:

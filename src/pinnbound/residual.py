@@ -58,6 +58,11 @@ class CollocationSet:
     def n_initial(self) -> int:
         return len(self.initial)
 
+    @property
+    def initial_spacetime(self) -> np.ndarray:
+        """The initial points as space-time points (x, 0), (N_0, d+1)."""
+        return np.hstack([self.initial, np.zeros((self.n_initial, 1))])
+
 
 @dataclass
 class RiskBreakdown:
@@ -84,8 +89,10 @@ def huber_grad(delta: float, x):
 
 
 def momentum_residual(fe: FieldEval, nu: float) -> np.ndarray:
-    """Component k: du_k/dt + (u . grad) u_k + dp/dx_k - nu * lap u_k."""
-    return fe.du_dt + fe.jac_u @ fe.u + fe.grad_p - nu * fe.lap_u
+    """Component k: du_k/dt + (u . grad) u_k + dp/dx_k - nu * lap u_k; broadcasts
+    over leading axes of the field, such as the N axis of `network.fields`."""
+    return (fe.du_dt + np.einsum("...m,...km->...k", fe.u, fe.jac_u)
+            + fe.grad_p - nu * fe.lap_u)
 
 
 def loss_res(fe: FieldEval, cfg: LossConfig) -> float:
@@ -101,11 +108,19 @@ def loss_init(u_at_t0: np.ndarray, f0_val: np.ndarray, cfg: LossConfig) -> float
     return float(cfg.lambda1 * np.sum(huber(cfg.delta, u_at_t0 - f0_val)))
 
 
+def initial_targets(f0, X: np.ndarray) -> np.ndarray:
+    """The target table f0(X) for spatial points X (N, d), from one call."""
+    F0 = np.asarray(f0(X), dtype=float)
+    if F0.shape != X.shape:
+        raise ValueError(f"f0 maps points {X.shape} to {F0.shape}, not to {X.shape}")
+    return F0
+
+
 def empirical_risk(field, cfg: LossConfig, colloc: CollocationSet, f0) -> RiskBreakdown:
     """Average the per-point losses over the collocation sets.
 
-    `field` maps a space-time point to a FieldEval; `f0` maps a spatial
-    point to the target initial velocity.
+    `field` maps a space-time point to a FieldEval; `f0` maps (..., d)
+    spatial points to the (..., d) target initial velocities.
     """
     momentum = []
     divergence = []
@@ -114,12 +129,9 @@ def empirical_risk(field, cfg: LossConfig, colloc: CollocationSet, f0) -> RiskBr
         r = momentum_residual(fe, cfg.nu)
         momentum.append(float(np.sum(huber(cfg.delta, r))))
         divergence.append(float(cfg.lambda0 * huber(cfg.delta, fe.div_u)))
-    initial = []
-    d = colloc.initial.shape[1]
-    for x in colloc.initial:
-        z0 = np.concatenate([x, [0.0]])
-        fe = field(z0)
-        initial.append(loss_init(fe.u[:d], np.asarray(f0(x), dtype=float), cfg))
+    F0 = initial_targets(f0, colloc.initial)
+    initial = [loss_init(field(z0).u, f0_val, cfg)
+               for z0, f0_val in zip(colloc.initial_spacetime, F0)]
     return RiskBreakdown(
         momentum_term=math.fsum(momentum) / colloc.n_interior,
         divergence_term=math.fsum(divergence) / colloc.n_interior,

@@ -1,21 +1,24 @@
 """Hand-derived risk gradient with respect to W, AdamW, and the training loop.
 
 The gradient chains the Huber derivative through the closed-form field
-derivatives.  Because those closed forms already contain sigma' and
-sigma'', the gradient needs sigma''' (supplied analytically by the
-activation module).  A1 and a2 never receive updates.
+derivatives of `network.fields`.  Because those closed forms already
+contain sigma' and sigma'', the gradient needs sigma''' (supplied
+analytically by the activation module).  A1 and a2 never receive updates.
+The initial-condition function f0 maps (..., d) spatial points to (..., d)
+target velocities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationSpec, eval_derivs
-from .network import PinnWeights
-from .residual import CollocationSet, LossConfig, RiskBreakdown, huber, huber_grad
+from .activations import ActivationSpec, eval_derivs  # noqa: F401  (perfbench traces it here)
+from .network import PinnWeights, fields
+from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber, huber_grad,
+                       initial_targets, momentum_residual)
 
 
 @dataclass
@@ -37,53 +40,27 @@ class TrainConfig:
     beta2: float = 0.999
     eps_adam: float = 1e-8
     weight_decay: float = 0.01
-    seed: int = 0
     log_every: int = 100
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if self.epochs < 1 or self.log_every < 1:
+            raise ValueError("epochs and log_every must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
 
 
-def _interior_fields(weights: PinnWeights, spec: ActivationSpec, Z: np.ndarray):
-    # Batched field evaluation over Z (N, d+1); returns everything the
-    # residual and its W-gradient need.
-    W, A1, a2 = weights.W, weights.A1, weights.a2
-    d = weights.d
-    s0, s1, s2, s3 = eval_derivs(spec, Z @ W.T)
-    w_t = W[:, d]
-    Wx = W[:, :d]
-    rowsq = np.sum(Wx * Wx, axis=1)
-    u = s0 @ A1.T
-    du_dt = (s1 * w_t) @ A1.T
-    jac = np.einsum("nq,kq,qm->nkm", s1, A1, Wx)
-    grad_p = (s1 * a2) @ Wx
-    lap = (s2 * rowsq) @ A1.T
-    div = np.einsum("nkk->n", jac)
-    return s0, s1, s2, s3, u, du_dt, jac, grad_p, lap, div, w_t, Wx, rowsq
-
-
-def _initial_batch(weights: PinnWeights, spec: ActivationSpec, X0: np.ndarray):
-    Z0 = np.hstack([X0, np.zeros((len(X0), 1))])
-    s0, s1, _, _ = eval_derivs(spec, Z0 @ weights.W.T)
-    return Z0, s0, s1, s0 @ weights.A1.T
-
-
 def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
                    colloc: CollocationSet, f0) -> RiskBreakdown:
     """Batched empirical risk of the network (same value as the generic
     per-point evaluator, computed without a Python loop over points)."""
-    *_, u, du_dt, jac, grad_p, lap, div, _, _, _ = _interior_fields(weights, spec, colloc.interior)
-    r = du_dt + np.einsum("nm,nkm->nk", u, jac) + grad_p - cfg.nu * lap
-    momentum = np.sum(huber(cfg.delta, r), axis=1)
-    divergence = cfg.lambda0 * huber(cfg.delta, div)
-    _, _, _, u0 = _initial_batch(weights, spec, colloc.initial)
-    F0 = np.array([f0(x) for x in colloc.initial], dtype=float)
-    initial = cfg.lambda1 * np.sum(huber(cfg.delta, u0 - F0), axis=1)
+    fe = fields(weights, spec, colloc.interior)[0]
+    momentum = np.sum(huber(cfg.delta, momentum_residual(fe, cfg.nu)), axis=1)
+    divergence = cfg.lambda0 * huber(cfg.delta, fe.div_u)
+    u0 = fields(weights, spec, colloc.initial_spacetime)[0].u
+    miss = u0 - initial_targets(f0, colloc.initial)
+    initial = cfg.lambda1 * np.sum(huber(cfg.delta, miss), axis=1)
     return RiskBreakdown(
         momentum_term=math.fsum(momentum) / colloc.n_interior,
         divergence_term=math.fsum(divergence) / colloc.n_interior,
@@ -101,11 +78,12 @@ def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     W, A1, a2 = weights.W, weights.A1, weights.a2
     d = weights.d
     Z = colloc.interior
-    s0, s1, s2, s3, u, du_dt, jac, grad_p, lap, div, w_t, Wx, rowsq = \
-        _interior_fields(weights, spec, Z)
-    r = du_dt + np.einsum("nm,nkm->nk", u, jac) + grad_p - cfg.nu * lap
-    g = huber_grad(cfg.delta, r)                   # (N, d)
-    gd = cfg.lambda0 * huber_grad(cfg.delta, div)  # (N,)
+    fe, (_, s1, s2, s3) = fields(weights, spec, Z)
+    u, jac = fe.u, fe.jac_u
+    w_t, Wx = W[:, d], W[:, :d]
+    rowsq = np.sum(Wx * Wx, axis=1)
+    g = huber_grad(cfg.delta, momentum_residual(fe, cfg.nu))  # (N, d)
+    gd = cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)        # (N,)
 
     gA = g @ A1                                    # (N, p)
     t1 = np.einsum("nk,nkm->nm", g, jac)
@@ -128,9 +106,9 @@ def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     G[:, :d] += np.sum(gd[:, None] * s1, axis=0)[:, None] * A1.T
     G /= colloc.n_interior
 
-    Z0, _, s1_0, u0 = _initial_batch(weights, spec, colloc.initial)
-    F0 = np.array([f0(x) for x in colloc.initial], dtype=float)
-    g0 = cfg.lambda1 * huber_grad(cfg.delta, u0 - F0)
+    Z0 = colloc.initial_spacetime
+    fe0, (_, s1_0, _, _) = fields(weights, spec, Z0)
+    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - initial_targets(f0, colloc.initial))
     G += ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
     return G
 
@@ -147,6 +125,8 @@ def adamw_step(weights: PinnWeights, grads: np.ndarray, state: OptimState,
     m_hat = m / (1.0 - tc.beta1 ** step)
     v_hat = v / (1.0 - tc.beta2 ** step)
     W = W - tc.learning_rate * m_hat / (np.sqrt(v_hat) + tc.eps_adam)
+    if not np.all(np.isfinite(W)):
+        raise RuntimeError(f"training diverged at epoch {step}: weights are non-finite")
     return PinnWeights(W=W, A1=weights.A1, a2=weights.a2), OptimState(step=step, m=m, v=v)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .residual import CollocationSet, LossConfig, empirical_risk, loss_init, loss_res
+from .residual import (CollocationSet, LossConfig, empirical_risk, initial_targets,
+                       loss_init, loss_res)
 
 _ENUM_LIMIT = 20
 _EXACT_EPS = 1e-9
@@ -136,9 +137,8 @@ def check_abs_removal(grid: ConstraintGrid, points, phi, c: float,
     lhs, _ = _mc_stats(lhs_vals, exact)
     rhs, se = _mc_stats(rhs_vals - lhs_vals, exact)
     rhs = lhs + rhs  # mean of rhs_vals, phrased via the coupled difference
-    report_se = se
-    return CheckReport(name="abs_removal", lhs=lhs, rhs=rhs, std_error=report_se,
-                       passed=lhs <= rhs + _slack(exact, report_se),
+    return CheckReport(name="abs_removal", lhs=lhs, rhs=rhs, std_error=se,
+                       passed=lhs <= rhs + _slack(exact, se),
                        exact=exact, n_draws=len(E), seed=seed)
 
 
@@ -186,13 +186,9 @@ def check_contraction_product(grid: ConstraintGrid, points, phi1, phi2,
     n = len(Z)
     pre = grid.vectors @ Z.T
     P1, P2 = phi1(pre), phi2(pre)        # (M, n)
-    P = pre
     E, exact = _sign_vectors(n, n_draws, seed)
-    lhs_vals = np.empty(len(E))
-    for i, eps in enumerate(E):
-        lhs_vals[i] = np.max(np.abs((P1 * eps) @ P2.T))
-    lhs_vals = B * lhs_vals / n
-    lin_vals = np.max(P @ E.T, axis=0)
+    lhs_vals = B * np.array([np.max(np.abs((P1 * eps) @ P2.T)) for eps in E]) / n
+    lin_vals = np.max(pre @ E.T, axis=0)
     rhs_vals = (4.0 * B * (B_phi1 * L_phi2 + B_phi2 * L_phi1) * lin_vals / n
                 + B * (2.0 * B_phi2 * abs(phi1(np.zeros(1))[0]) + abs(k)) / math.sqrt(n))
     lhs, _ = _mc_stats(lhs_vals, exact)
@@ -211,6 +207,7 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
 
     `sampler(rng, n)` must return (interior (n, d+1), initial (n, d))
     samples; population risks use one large fixed quadrature sample.
+    `f0` maps (..., d) spatial points to (..., d) target velocities.
     """
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
@@ -220,16 +217,16 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, f0).total
                          for h in hypotheses])
 
-    d = pop_init.shape[1]
     gap_vals = np.empty(n_trials)
     rad_vals = np.empty(n_trials)
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
-        Zs, Xs = sampler(rng, n_points)
-        res_losses = np.array([[loss_res(h(z), loss_cfg) for z in Zs] for h in hypotheses])
-        init_losses = np.array(
-            [[loss_init(h(np.concatenate([x, [0.0]])).u[:d], f0(x), loss_cfg) for x in Xs]
-             for h in hypotheses])       # (H, n)
+        trial = CollocationSet(*sampler(rng, n_points))
+        targets = list(zip(trial.initial_spacetime, initial_targets(f0, trial.initial)))
+        res_losses = np.array([[loss_res(h(z), loss_cfg) for z in trial.interior]
+                               for h in hypotheses])
+        init_losses = np.array([[loss_init(h(z0).u, f0_val, loss_cfg) for z0, f0_val in targets]
+                                for h in hypotheses])       # (H, n)
         emp = res_losses.mean(axis=1) + init_losses.mean(axis=1)
         gap_vals[t] = np.max(emp - pop_risk)
         eps_r = rng.choice([-1.0, 1.0], n_points)

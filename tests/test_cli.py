@@ -200,3 +200,53 @@ def test_preset_figure1_changes_sampling():
     assert cfg["sampling"]["box"] == "figure1"
     assert cfg["sampling"]["n_r"] == 1000
     assert cfg["training"]["epochs"] == 20000
+
+
+def test_sweep_cache_recomputes_rows_of_another_config(tmp_path, capsys):
+    out, fresh = tmp_path / "sweep", tmp_path / "fresh"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    longer = SWEEP_FAST + ["--set", "training.epochs=16"]
+    capsys.readouterr()
+    assert run(longer + ["--out", str(out), "sweep"]) == 0
+    assert "cached" not in capsys.readouterr().out
+    assert run(longer + ["--out", str(fresh), "sweep"]) == 0
+    for name in ("sweep.json", "sweep.csv", "bound_vs_gap.dat", "row_01_nr10.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    # the overwritten rows now serve the config they were computed under
+    assert run(longer + ["--out", str(out), "sweep"]) == 0
+    assert capsys.readouterr().out.count(": cached") == 3
+
+
+DIVERGENT = ["--set", "training.learning_rate=1e307", "--set", "training.epochs=3"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_weights_are_exit_2_without_traceback(tmp_path, capsys):
+    assert run(DIVERGENT + ["--set", "dims.p=4", "--set", "sampling.n_r=4",
+                            "--set", "sampling.n_0=4",
+                            "--out", str(tmp_path / "div"), "train"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: training diverged" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
+    out = tmp_path / "div"
+    assert run(SWEEP_FAST + DIVERGENT + ["--out", str(out), "sweep"]) == 2
+    doc = json.loads((out / "sweep.json").read_text())
+    assert doc["rows"] == []
+    assert [row["N_r"] for row in doc["failed_rows"]] == [5, 10, 20]
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ("dims.p=abc", "train"),
+    ("sampling.n_r=0", "train"),
+    ("training.log_every=0", "train"),
+    ("sweep.population_factor=1", "sweep"),
+])
+def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
+    out = tmp_path / "bad"
+    assert run(SWEEP_FAST + ["--set", assignment, "--out", str(out), command]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists() or not any(out.iterdir())

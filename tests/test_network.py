@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pinnbound import (ActivationSpec, PinnWeights, eval_derivs, field_eval,
-                       forward, init_weights, load_checkpoint, save_checkpoint)
+                       init_weights, load_checkpoint, save_checkpoint)
 
 from conftest import FAMILIES
 
@@ -14,10 +14,10 @@ def fd_field(weights, spec, z, h=1e-5):
     d = weights.d
 
     def uv(pt):
-        return forward(weights, spec, pt)[0]
+        return field_eval(weights, spec, pt).u
 
     def pv(pt):
-        return forward(weights, spec, pt)[1]
+        return field_eval(weights, spec, pt).p_val
 
     def shift(j, s):
         out = np.array(z, dtype=float)
@@ -66,16 +66,6 @@ def test_field_eval_matches_finite_differences(spec, rng):
         assert np.allclose(fe.grad_p, grad_p, rtol=1e-6, atol=1e-7)
         assert np.allclose(fe.lap_u, lap, rtol=1e-4, atol=1e-4)
         assert abs(fe.div_u - np.trace(fe.jac_u)) == 0.0
-
-
-def test_forward_and_field_eval_agree_bitwise(rng):
-    weights = init_weights(2, 5, seed=7)
-    for _ in range(5):
-        z = rng.uniform(-1, 1, 3)
-        u, p = forward(weights, TANH, z)
-        fe = field_eval(weights, TANH, z)
-        assert np.array_equal(u, fe.u)
-        assert p == fe.p_val
 
 
 def test_init_weights_deterministic_and_scaled():

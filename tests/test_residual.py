@@ -71,7 +71,7 @@ def test_empirical_risk_still_field():
     cfg = LossConfig(delta=1.0, lambda0=1.0, lambda1=0.3)
     colloc = CollocationSet(interior=np.zeros((4, 3)), initial=np.zeros((2, 2)))
     field = lambda z: still_field([0.5, 0.0])
-    f0 = lambda x: np.zeros(2)
+    f0 = np.zeros_like
     rb = empirical_risk(field, cfg, colloc, f0)
     assert rb.momentum_term == 0.0
     assert rb.divergence_term == 0.0
@@ -84,7 +84,7 @@ def test_empirical_risk_averages():
     colloc = CollocationSet(interior=np.zeros((3, 3)),
                             initial=np.array([[0.0, 0.0], [1.0, 0.0]]))
     field = lambda z: still_field([0.0, 0.0])
-    f0 = lambda x: np.array([x[0], 0.0])  # miss grows with x
+    f0 = lambda x: x * [1.0, 0.0]  # miss grows with x
     rb = empirical_risk(field, cfg, colloc, f0)
     assert abs(rb.initial_term - 0.5 * (0.0 + 0.5)) < 1e-15
 
@@ -93,7 +93,7 @@ def test_empirical_risk_permutation_invariant(rng):
     spec = ActivationSpec.from_name("tanh", 1)
     weights = init_weights(2, 4, seed=9)
     field = lambda z: field_eval(weights, spec, z)
-    f0 = lambda x: np.array([x[0], -x[1]])
+    f0 = lambda x: x * [1.0, -1.0]
     cfg = LossConfig()
     interior = rng.uniform(0, 1, (17, 3))
     initial = rng.uniform(0, 1, (13, 2))
