@@ -4,12 +4,15 @@ Supported families: tanh^k, sigmoid^k (k >= 1) and exp(-x)*relu(x)^k
 (k >= 3).  tanh and sigmoid powers are handled through a polynomial
 representation: if s = tanh(x) then ds/dx = 1 - s^2, so every derivative
 of tanh^k is a polynomial in s, and similarly ds/dx = s(1 - s) for the
-sigmoid.  This gives exact closed forms for sigma through sigma'''.
+sigmoid.  This gives exact closed forms for sigma through sigma''',
+which `eval_derivs` evaluates by Horner's rule from coefficients cached
+per (family, k).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,51 +84,43 @@ def _poly_shift_derivative(coeffs: dict, mode: str) -> dict:
     return out
 
 
-def _poly_eval(coeffs: dict, s):
-    acc = np.zeros_like(s, dtype=float)
-    for m, c in coeffs.items():
-        acc = acc + c * s**m
-    return acc
-
-
-def _pow_family_derivs(mode: str, k: int, x):
-    if mode == "tanh":
-        s = np.tanh(x)
+@functools.lru_cache(maxsize=None)
+def _stack_coefficients(family: Family, k: int) -> tuple:
+    """Dense coefficients, highest degree first, of sigma..sigma''' as
+    polynomials in s = tanh x or s = sigmoid x; for exp(-x)relu(x)^k, of
+    e^x sigma^(n)(x) as polynomials in x > 0."""
+    if family is Family.EXP_NEG_RELU_POW:
+        # The n-th derivative of e^{-x} x^k is
+        # e^{-x} * sum_j C(n,j) (-1)^{n-j} k!/(k-j)! x^{k-j}; for k >= 3 the
+        # one-sided limits at 0 agree (all zero) through the third derivative.
+        polys = [{k - j: math.comb(n, j) * (-1.0) ** (n - j) * math.perm(k, j)
+                  for j in range(min(n, k) + 1)} for n in range(4)]
     else:
-        s = 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-    coeffs = {k: 1.0}
-    stack = []
-    for _ in range(4):
-        stack.append(_poly_eval(coeffs, s))
-        coeffs = _poly_shift_derivative(coeffs, mode)
-    return tuple(stack)
+        polys = [{k: 1.0}]
+        for _ in range(3):
+            polys.append(_poly_shift_derivative(polys[-1], family.value))
+    return tuple(tuple(float(p.get(m, 0.0)) for m in range(max(p), -1, -1)) for p in polys)
 
 
-def _exp_neg_relu_derivs(k: int, x):
-    # f(x) = e^{-x} x^k for x > 0, 0 otherwise.  n-th derivative is
-    # e^{-x} * sum_j C(n,j) (-1)^{n-j} k!/(k-j)! x^{k-j}; for k >= 3 the
-    # one-sided limits at 0 agree (all zero) through the third derivative.
-    x = np.asarray(x, dtype=float)
-    pos = x > 0
-    xp = np.where(pos, x, 1.0)
-    e = np.exp(-xp)
-    out = []
-    for n in range(4):
-        acc = np.zeros_like(xp)
-        for j in range(0, min(n, k) + 1):
-            falling = math.perm(k, j)
-            acc += math.comb(n, j) * (-1.0) ** (n - j) * falling * xp ** (k - j)
-        out.append(np.where(pos, e * acc, 0.0))
-    return tuple(out)
+def _horner(coeffs: tuple, s: np.ndarray) -> np.ndarray:
+    acc = np.full_like(s, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= s
+        acc += c
+    return acc
 
 
 def eval_derivs(spec: ActivationSpec, x):
     """Return (sigma, sigma', sigma'', sigma''') at x; accepts arrays."""
-    if spec.family is Family.TANH_POW:
-        return _pow_family_derivs("tanh", spec.k, x)
-    if spec.family is Family.SIGMOID_POW:
-        return _pow_family_derivs("sigmoid", spec.k, x)
-    return _exp_neg_relu_derivs(spec.k, x)
+    x = np.asarray(x, dtype=float)
+    coeffs = _stack_coefficients(spec.family, spec.k)
+    if spec.family is Family.EXP_NEG_RELU_POW:
+        pos = x > 0
+        xp = np.where(pos, x, 1.0)
+        e = np.exp(-xp)
+        return tuple(np.where(pos, e * _horner(c, xp), 0.0) for c in coeffs)
+    s = np.tanh(x) if spec.family is Family.TANH_POW else 1.0 / (1.0 + np.exp(-x))
+    return tuple(_horner(c, s) for c in coeffs)
 
 
 _TANH1 = SigmaConstants(L_sigma=1.0, L_sigma1=1.0, L_sigma2=2.0,

@@ -82,6 +82,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     parts = key.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise UsageError(f"--set {key}: {part!r} holds a value, not a section")
     node[parts[-1]] = value
 
 
@@ -229,18 +231,31 @@ def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
     return 0
 
 
+def _verify_counts(cfg: dict) -> dict:
+    """The `verify` section, every entry a count >= 1."""
+    try:
+        v = {key: int(val) for key, val in cfg["verify"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad verify config: {exc}")
+    if min(v.values(), default=1) < 1:
+        raise UsageError(f"verify counts must be >= 1, got {v}")
+    return v
+
+
 def _verify_reports(cfg: dict):
-    v = cfg["verify"]
+    v = _verify_counts(cfg)
+    spec = _activation(cfg)
+    loss_cfg = _loss(cfg)
     seed = int(cfg["seed"])
-    n_points = int(v["n_points"])
-    n_draws = int(v["n_draws"])
+    n_points = v["n_points"]
+    n_draws = v["n_draws"]
     reports = []
     rng = np.random.default_rng(seed)
 
-    for i in range(int(v["n_instances"])):
+    for i in range(v["n_instances"]):
         dim = int(rng.integers(2, 5))
         Z = np.random.default_rng((seed, 1, i)).uniform(0, 1, (n_points, dim))
-        grid = verify.ConstraintGrid.random(dim, int(v["grid_size"]), B=2.0,
+        grid = verify.ConstraintGrid.random(dim, v["grid_size"], B=2.0,
                                             seed=seed + 100 + i)
         reports.append(verify.check_abs_removal(grid, Z, np.tanh, c=0.0,
                                                 n_draws=n_draws, seed=seed + i))
@@ -266,20 +281,18 @@ def _verify_reports(cfg: dict):
             passed=est_enum.mean <= lin_bound + 3 * est_enum.std_error + 1e-9,
             exact=est_enum.exact, n_draws=est_enum.n_draws, seed=est_enum.seed))
 
-    loss_cfg = _loss(cfg)
     params = TaylorGreenParams(nu=loss_cfg.nu)
     f0 = taylor_green_initial(params)
 
     def sampler(r, n):
         return r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2))
 
-    spec = _activation(cfg)
-    for i in range(int(v["sym_classes"])):
+    for i in range(v["sym_classes"]):
         nets = [init_weights(2, 4, seed=seed + 50 + i * 10 + j) for j in range(3)]
         hyps = [lambda z, w=w: field_eval(w, spec, z) for w in nets]
         reports.append(verify.check_symmetrization(
-            hyps, loss_cfg, sampler, f0, n_points=int(v["sym_points"]),
-            n_trials=int(v["sym_trials"]), seed=seed + i))
+            hyps, loss_cfg, sampler, f0, n_points=v["sym_points"],
+            n_trials=v["sym_trials"], seed=seed + i))
     return reports
 
 

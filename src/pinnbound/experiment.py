@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds
 from .activations import ActivationSpec, SigmaConstants, constants
 from .network import FieldEval, PinnWeights, init_weights
-from .residual import CollocationSet, LossConfig
+from .residual import CollocationSet, LossConfig, initial_targets
 from .training import TrainConfig, risk_breakdown, train
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
@@ -158,8 +158,10 @@ def measure_gap(weights: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig
     pop_init = sample_initial(population_points, box[:-1], seed + 1)
     pop_set = CollocationSet(interior=pop_int, initial=pop_init)
 
-    train_risk = risk_breakdown(weights, spec, loss_cfg, train_colloc, f0).total
-    pop_risk = risk_breakdown(weights, spec, loss_cfg, pop_set, f0).total
+    train_risk = risk_breakdown(weights, spec, loss_cfg, train_colloc,
+                                initial_targets(f0, train_colloc.initial)).total
+    pop_risk = risk_breakdown(weights, spec, loss_cfg, pop_set,
+                              initial_targets(f0, pop_set.initial)).total
 
     sc = sigma_constants if sigma_constants is not None else constants(spec)
     C_z, C_z0 = moment_constants(pop_int, pop_init)

@@ -80,7 +80,7 @@ def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tu
     stack = eval_derivs(spec, Z @ W.T)
     s0, s1, s2, _ = stack
     Wx = W[:, :d]
-    jac = np.einsum("nq,kq,qm->nkm", s1, A1, Wx)
+    jac = (s1[:, None, :] * A1) @ Wx
     fe = FieldEval(u=s0 @ A1.T, p_val=s0 @ a2, du_dt=(s1 * W[:, d]) @ A1.T,
                    jac_u=jac, grad_p=(s1 * a2) @ Wx,
                    lap_u=(s2 * np.sum(Wx * Wx, axis=1)) @ A1.T,

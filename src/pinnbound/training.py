@@ -5,7 +5,8 @@ derivatives of `network.fields`.  Because those closed forms already
 contain sigma' and sigma'', the gradient needs sigma''' (supplied
 analytically by the activation module).  A1 and a2 never receive updates.
 The initial-condition function f0 maps (..., d) spatial points to (..., d)
-target velocities.
+target velocities; `train` builds its table F0 = f0(colloc.initial) once
+and hands it to the risk and the gradient.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ class TrainConfig:
 
 
 def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
-                   colloc: CollocationSet, f0) -> RiskBreakdown:
+                   colloc: CollocationSet, F0: np.ndarray) -> RiskBreakdown:
     """Batched empirical risk of the network (same value as the generic
-    per-point evaluator, computed without a Python loop over points)."""
+    per-point evaluator, computed without a Python loop over points).
+    F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`."""
     fe = fields(weights, spec, colloc.interior)[0]
     momentum = np.sum(huber(cfg.delta, momentum_residual(fe, cfg.nu)), axis=1)
     divergence = cfg.lambda0 * huber(cfg.delta, fe.div_u)
     u0 = fields(weights, spec, colloc.initial_spacetime)[0].u
-    miss = u0 - initial_targets(f0, colloc.initial)
+    miss = u0 - F0
     initial = cfg.lambda1 * np.sum(huber(cfg.delta, miss), axis=1)
     return RiskBreakdown(
         momentum_term=math.fsum(momentum) / colloc.n_interior,
@@ -69,8 +71,9 @@ def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
 
 
 def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
-              colloc: CollocationSet, f0) -> np.ndarray:
-    """Exact gradient of the empirical risk with respect to W.
+              colloc: CollocationSet, F0: np.ndarray) -> np.ndarray:
+    """Exact gradient of the empirical risk with respect to W, for the
+    target table F0 of `risk_breakdown`.
 
     At Huber kink points the two branch derivatives coincide, so the
     clipped derivative is used without ambiguity.
@@ -108,7 +111,7 @@ def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
 
     Z0 = colloc.initial_spacetime
     fe0, (_, s1_0, _, _) = fields(weights, spec, Z0)
-    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - initial_targets(f0, colloc.initial))
+    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
     G += ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
     return G
 
@@ -140,11 +143,12 @@ def train(weights0: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
     weights = weights0.copy()
     state = OptimState.zeros(weights)
     history: list[tuple[int, RiskBreakdown]] = []
+    F0 = initial_targets(f0, colloc.initial)
     for epoch in range(1, tc.epochs + 1):
-        grads = grad_risk(weights, spec, loss_cfg, colloc, f0)
+        grads = grad_risk(weights, spec, loss_cfg, colloc, F0)
         weights, state = adamw_step(weights, grads, state, tc)
         if epoch % tc.log_every == 0 or epoch == tc.epochs:
-            rb = risk_breakdown(weights, spec, loss_cfg, colloc, f0)
+            rb = risk_breakdown(weights, spec, loss_cfg, colloc, F0)
             if not math.isfinite(rb.total):
                 raise RuntimeError(f"training diverged at epoch {epoch}: risk is non-finite")
             history.append((epoch, rb))

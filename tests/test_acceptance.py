@@ -18,7 +18,7 @@ import pytest
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        TaylorGreenParams, TrainConfig, WeightStats, constants,
                        empirical_risk, eval_derivs, field_eval,
-                       generalization_bound, grad_risk, init_weights,
+                       generalization_bound, grad_risk, init_weights, initial_targets,
                        momentum_residual, sample_initial, sample_interior,
                        sweep_experiment, taylor_green_field,
                        taylor_green_initial)
@@ -98,7 +98,7 @@ def test_criterion_3_risk_gradient():
                          lambda1=float(g.uniform(0, 1)),
                          nu=float(g.uniform(0.005, 0.1)))
         f0 = lambda x: np.sin(x)
-        G = grad_risk(weights, spec, cfg, colloc, f0)
+        G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0, colloc.initial))
         F = np.zeros_like(G)
         for i in range(p):
             for j in range(d + 1):

@@ -47,6 +47,13 @@ def test_bad_set_is_usage_error(tmp_path):
     assert run(["--set", "no_equals_sign", "--out", str(tmp_path), "train"]) == 1
 
 
+def test_set_through_a_value_is_usage_error(tmp_path, capsys):
+    assert run(["--set", "seed.x=1", "--out", str(tmp_path), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["--config", str(tmp_path / "absent.json"),
                 "--out", str(tmp_path), "train"]) == 1
@@ -244,9 +251,11 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("sampling.n_r=0", "train"),
     ("training.log_every=0", "train"),
     ("sweep.population_factor=1", "sweep"),
+    ("verify.n_points=0 verify.n_instances=1 verify.sym_classes=0", "verify"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     out = tmp_path / "bad"
-    assert run(SWEEP_FAST + ["--set", assignment, "--out", str(out), command]) == 1
+    sets = [arg for a in assignment.split() for arg in ("--set", a)]
+    assert run(SWEEP_FAST + sets + ["--out", str(out), command]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists() or not any(out.iterdir())

@@ -3,7 +3,8 @@ import pytest
 
 from pinnbound import (ActivationSpec, LossConfig, OptimState, PinnWeights,
                        TrainConfig, adamw_step, empirical_risk, field_eval,
-                       grad_risk, init_weights, risk_breakdown, train)
+                       grad_risk, init_weights, initial_targets, risk_breakdown,
+                       train)
 
 from conftest import FAMILIES, random_colloc, random_net
 
@@ -31,7 +32,8 @@ def test_risk_breakdown_matches_generic_evaluator(rng):
         weights = random_net(seed, d=2, p=5)
         colloc = random_colloc(seed + 100, d=2, n_r=7, n_0=5)
         cfg = LossConfig(delta=0.7, lambda0=1.3, lambda1=0.4, nu=0.05)
-        batched = risk_breakdown(weights, TANH, cfg, colloc, f0_demo)
+        batched = risk_breakdown(weights, TANH, cfg, colloc,
+                                 initial_targets(f0_demo, colloc.initial))
         field = lambda z: field_eval(weights, TANH, z)
         looped = empirical_risk(field, cfg, colloc, f0_demo)
         assert abs(batched.momentum_term - looped.momentum_term) < 1e-12
@@ -45,7 +47,7 @@ def test_gradient_matches_finite_differences(spec, rng):
         weights = random_net(seed, d=2, p=3)
         colloc = random_colloc(seed + 7, d=2, n_r=5, n_0=4)
         cfg = LossConfig(delta=0.9, lambda0=0.8, lambda1=0.5, nu=0.02)
-        G = grad_risk(weights, spec, cfg, colloc, f0_demo)
+        G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0_demo, colloc.initial))
         F = fd_grad(weights, spec, cfg, colloc, f0_demo)
         scale = max(np.max(np.abs(F)), 1e-8)
         assert np.max(np.abs(G - F)) / scale < 1e-5
@@ -61,7 +63,7 @@ def test_gradient_one_dimensional_case(rng):
     colloc = CollocationSet(interior=colloc_int, initial=colloc_init)
     cfg = LossConfig(delta=1.0, lambda0=0.6, lambda1=0.2, nu=0.05)
     f0 = np.sin
-    G = grad_risk(weights, TANH, cfg, colloc, f0)
+    G = grad_risk(weights, TANH, cfg, colloc, initial_targets(f0, colloc.initial))
     F = fd_grad(weights, TANH, cfg, colloc, f0)
     assert np.max(np.abs(G - F)) / max(np.max(np.abs(F)), 1e-8) < 1e-5
 
@@ -74,7 +76,7 @@ def test_gradient_zero_at_exact_fit():
     colloc = random_colloc(1, d=2, n_r=6, n_0=4)
     cfg = LossConfig()
     f0 = np.zeros_like
-    G = grad_risk(weights, spec, cfg, colloc, f0)
+    G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0, colloc.initial))
     assert np.all(G == 0.0)
 
 
