@@ -125,7 +125,12 @@ def _train_cfg(cfg: dict) -> TrainConfig:
 
 
 def _sigma_constants(cfg: dict, spec: ActivationSpec) -> SigmaConstants:
-    override = cfg["bound"].get("constants_override")
+    """Activation constants; also checks the `bound` section before any work."""
+    bound = cfg["bound"]
+    if not isinstance(bound, dict) or bound.get("cz_convention") not in ("sqrt", "literal"):
+        raise UsageError("bound must be a section whose cz_convention is 'sqrt' or "
+                         f"'literal', got {bound!r}")
+    override = bound.get("constants_override")
     if not override:
         return constants(spec)
     try:

@@ -4,7 +4,7 @@ The network maps z = (x_1..x_d, t) to a velocity u = A1 @ sigma(W z) and
 a pressure p = <a2, sigma(W z)>.  Only W trains; A1 and a2 stay frozen.
 All space-time derivatives have closed forms built from sigma' and
 sigma'' of the pre-activations; `fields` is the one place they are
-evaluated, for a batch of points or, through `field_eval`, for one.
+evaluated; `field_eval` is its view over points with any leading axes.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ class FieldEval:
     lap_u: np.ndarray    # (d,)
     div_u: float
 
+    def rows(self) -> list["FieldEval"]:
+        """The one-point fields of a field over N points, as row views."""
+        return [FieldEval(*vals) for vals in zip(*vars(self).values())]
+
 
 def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tuple]:
     """Closed-form field at each row of Z (N, d+1): values and the space-time
@@ -89,12 +93,15 @@ def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tu
 
 
 def field_eval(weights: PinnWeights, spec: ActivationSpec, z) -> FieldEval:
-    """The field at one point z = (x, t): row 0 of `fields`."""
+    """The field at points z (..., d+1) from one `fields` call, every entry
+    leading with the axes of z before its last; one point (d+1,) gives one."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (weights.d + 1,):
-        raise ValueError(f"point has shape {z.shape}, expected ({weights.d + 1},)")
-    fe, _ = fields(weights, spec, z[None])
-    return FieldEval(**{name: val[0] for name, val in vars(fe).items()})
+    if z.ndim < 1 or z.shape[-1] != weights.d + 1:
+        raise ValueError(f"points have shape {z.shape}, expected (..., {weights.d + 1})")
+    fe, _ = fields(weights, spec, z.reshape(-1, weights.d + 1))
+    # [()] turns the 0-d entries of a one-point field into scalars
+    return FieldEval(**{name: val.reshape(z.shape[:-1] + val.shape[1:])[()]
+                        for name, val in vars(fe).items()})
 
 
 def init_weights(d: int, p: int, seed: int, w_scale: float | None = None) -> PinnWeights:

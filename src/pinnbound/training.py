@@ -19,7 +19,7 @@ import numpy as np
 from .activations import ActivationSpec, eval_derivs  # noqa: F401  (perfbench traces it here)
 from .network import PinnWeights, fields
 from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber, huber_grad,
-                       initial_targets, momentum_residual)
+                       initial_targets, interior_losses, momentum_residual)
 
 
 @dataclass
@@ -54,20 +54,13 @@ class TrainConfig:
 
 def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
                    colloc: CollocationSet, F0: np.ndarray) -> RiskBreakdown:
-    """Batched empirical risk of the network (same value as the generic
-    per-point evaluator, computed without a Python loop over points).
+    """Empirical risk of the network (the value of `empirical_risk` with
+    `field_eval`, computed without a Python loop over points).
     F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`."""
     fe = fields(weights, spec, colloc.interior)[0]
-    momentum = np.sum(huber(cfg.delta, momentum_residual(fe, cfg.nu)), axis=1)
-    divergence = cfg.lambda0 * huber(cfg.delta, fe.div_u)
     u0 = fields(weights, spec, colloc.initial_spacetime)[0].u
-    miss = u0 - F0
-    initial = cfg.lambda1 * np.sum(huber(cfg.delta, miss), axis=1)
-    return RiskBreakdown(
-        momentum_term=math.fsum(momentum) / colloc.n_interior,
-        divergence_term=math.fsum(divergence) / colloc.n_interior,
-        initial_term=math.fsum(initial) / colloc.n_initial,
-    )
+    initial = cfg.lambda1 * np.sum(huber(cfg.delta, u0 - F0), axis=1)
+    return RiskBreakdown.average(*interior_losses(fe, cfg), initial)
 
 
 def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,

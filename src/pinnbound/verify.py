@@ -205,9 +205,10 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     """Monte-Carlo check of the symmetrization step:
     E_S[ sup_h (Rhat(h, S) - R(h)) ] <= 2 R_res + 2 R_0.
 
-    `sampler(rng, n)` must return (interior (n, d+1), initial (n, d))
-    samples; population risks use one large fixed quadrature sample.
-    `f0` maps (..., d) spatial points to (..., d) target velocities.
+    Each hypothesis is a field evaluator, as in `empirical_risk`, called
+    once per point set.  `sampler(rng, n)` must return (interior (n, d+1),
+    initial (n, d)) samples; population risks use one large fixed
+    quadrature sample.  `f0` maps (..., d) spatial points to (..., d) targets.
     """
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
@@ -222,10 +223,12 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
         trial = CollocationSet(*sampler(rng, n_points))
-        targets = list(zip(trial.initial_spacetime, initial_targets(f0, trial.initial)))
-        res_losses = np.array([[loss_res(h(z), loss_cfg) for z in trial.interior]
+        F0 = initial_targets(f0, trial.initial)
+        # Per-point losses on row views: perfbench/test_perfbench.py pins their counts.
+        res_losses = np.array([[loss_res(fe, loss_cfg) for fe in h(trial.interior).rows()]
                                for h in hypotheses])
-        init_losses = np.array([[loss_init(h(z0).u, f0_val, loss_cfg) for z0, f0_val in targets]
+        init_losses = np.array([[loss_init(u, f0_val, loss_cfg)
+                                 for u, f0_val in zip(h(trial.initial_spacetime).u, F0)]
                                 for h in hypotheses])       # (H, n)
         emp = res_losses.mean(axis=1) + init_losses.mean(axis=1)
         gap_vals[t] = np.max(emp - pop_risk)

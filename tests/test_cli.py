@@ -145,6 +145,16 @@ def test_bound_constants_override(tmp_path):
     assert doc["sigma_constants"]["L_sigma1"] == 0.8
 
 
+@pytest.mark.parametrize("assignment", ["bound=3", "bound.cz_convention=bogus"])
+def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    out = tmp_path / "o"
+    assert run(["--set", assignment, "--out", str(out), "bound", str(ck)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
 def test_bound_bad_checkpoint_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -252,6 +262,8 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("training.log_every=0", "train"),
     ("sweep.population_factor=1", "sweep"),
     ("verify.n_points=0 verify.n_instances=1 verify.sym_classes=0", "verify"),
+    ("bound=3", "sweep"),
+    ("bound.cz_convention=bogus", "sweep"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     out = tmp_path / "bad"

@@ -5,16 +5,19 @@ pick shapes, activation families and seeds, and numpy generators seeded
 from them supply the arrays.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as P
 
-from pinnbound import (ActivationSpec, CollocationSet, LossConfig, TaylorGreenParams,
-                       eval_derivs, field_eval,
-                       fields, grad_risk, init_weights, initial_targets, risk_breakdown,
-                       taylor_green_field, taylor_green_initial)
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights,
+                       TaylorGreenParams, eval_derivs, field_eval, fields, grad_risk,
+                       init_weights, initial_targets, load_checkpoint, risk_breakdown,
+                       save_checkpoint, taylor_green_field, taylor_green_initial)
 
 from conftest import FAMILIES
 
@@ -93,8 +96,9 @@ def colloc_for(seed, d, n_r, n_0):
 
 
 @PROPERTY
-@given(d=dims, p=widths, spec=families, seed=seeds, n=st.integers(1, 7))
-def test_fields_rows_match_field_eval(d, p, spec, seed, n):
+@given(d=dims, p=widths, spec=families, seed=seeds, a=st.integers(1, 3), b=st.integers(1, 3))
+def test_fields_rows_match_field_eval(d, p, spec, seed, a, b):
+    n = a * b
     weights = init_weights(d, p, seed=seed)
     Z = np.random.default_rng(seed).uniform(0.05, 1.0, (n, d + 1))
     batch, stack = fields(weights, spec, Z)
@@ -105,6 +109,14 @@ def test_fields_rows_match_field_eval(d, p, spec, seed, n):
             row = getattr(batch, name)[i]
             assert np.shape(val) == np.shape(row), name
             np.testing.assert_allclose(val, row, rtol=1e-12, atol=1e-13, err_msg=name)
+    # One call on points with one or two leading axes: the same `fields`
+    # rows, bit for bit, each entry leading with those axes.
+    for lead in ((n,), (a, b)):
+        many = field_eval(weights, spec, Z.reshape(lead + (d + 1,)))
+        for name, val in vars(many).items():
+            rows = getattr(batch, name)
+            assert np.shape(val) == lead + rows.shape[1:], name
+            np.testing.assert_array_equal(np.reshape(val, rows.shape), rows, err_msg=name)
 
 
 @PROPERTY
@@ -168,3 +180,21 @@ def test_grad_risk_matches_finite_differences(d, p, spec, seed, delta, lambda0,
     F /= 2 * h
     scale = max(float(np.max(np.abs(F))), 1e-6)
     assert float(np.max(np.abs(G - F))) / scale < 1e-5
+
+
+@PROPERTY
+@given(d=dims, p=widths, spec=stack_specs, data=st.data())
+def test_checkpoint_round_trip_is_bit_exact(d, p, spec, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    weights = PinnWeights(*(data.draw(hnp.arrays(np.float64, shape, elements=finite))
+                            for shape in ((p, d + 1), (d, p), (p,))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        save_checkpoint(weights, spec, path)
+        loaded, loaded_spec = load_checkpoint(path)
+    assert loaded_spec == spec
+    for name in ("W", "A1", "a2"):
+        before, after = getattr(weights, name), getattr(loaded, name)
+        assert after.dtype == np.float64 and after.shape == before.shape, name
+        # Compared as bit patterns, so -0.0 and subnormals must survive too.
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64)), name

@@ -8,11 +8,14 @@ from pinnbound import (ActivationSpec, CollocationSet, FieldEval, LossConfig,
                        init_weights, loss_init, loss_res, momentum_residual)
 
 
-def still_field(u, d=2):
-    """Constant velocity field with all derivatives zero."""
-    u = np.asarray(u, dtype=float)
-    return FieldEval(u=u, p_val=0.0, du_dt=np.zeros(d), jac_u=np.zeros((d, d)),
-                     grad_p=np.zeros(d), lap_u=np.zeros(d), div_u=0.0)
+def still_field(u, z):
+    """Constant velocity field with all derivatives zero, at points z of
+    shape (..., d+1): every entry leads with the axes of z before its last."""
+    lead, d = np.shape(z)[:-1], len(u)
+    return FieldEval(u=np.broadcast_to(np.asarray(u, dtype=float), lead + (d,)),
+                     p_val=np.zeros(lead), du_dt=np.zeros(lead + (d,)),
+                     jac_u=np.zeros(lead + (d, d)), grad_p=np.zeros(lead + (d,)),
+                     lap_u=np.zeros(lead + (d,)), div_u=np.zeros(lead))
 
 
 def test_huber_values():
@@ -70,7 +73,7 @@ def test_empirical_risk_still_field():
     # constant field: zero residual and divergence, only the initial miss
     cfg = LossConfig(delta=1.0, lambda0=1.0, lambda1=0.3)
     colloc = CollocationSet(interior=np.zeros((4, 3)), initial=np.zeros((2, 2)))
-    field = lambda z: still_field([0.5, 0.0])
+    field = lambda z: still_field([0.5, 0.0], z)
     f0 = np.zeros_like
     rb = empirical_risk(field, cfg, colloc, f0)
     assert rb.momentum_term == 0.0
@@ -83,7 +86,7 @@ def test_empirical_risk_averages():
     cfg = LossConfig(delta=10.0, lambda0=0.0, lambda1=1.0)
     colloc = CollocationSet(interior=np.zeros((3, 3)),
                             initial=np.array([[0.0, 0.0], [1.0, 0.0]]))
-    field = lambda z: still_field([0.0, 0.0])
+    field = lambda z: still_field([0.0, 0.0], z)
     f0 = lambda x: x * [1.0, 0.0]  # miss grows with x
     rb = empirical_risk(field, cfg, colloc, f0)
     assert abs(rb.initial_term - 0.5 * (0.0 + 0.5)) < 1e-15

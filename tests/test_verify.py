@@ -165,6 +165,20 @@ def test_symmetrization_networks():
     assert rep.std_error > 0
 
 
+def test_symmetrization_pinned_values():
+    # lhs, rhs and std_error as computed when each hypothesis was called
+    # once per point; scoring a point set in one call moves them by ulps.
+    spec = ActivationSpec.from_name("tanh", 3)
+    hyps = make_net_hypotheses(3, spec, seed=10)
+    cfg = LossConfig()
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    rep = check_symmetrization(hyps, cfg, unit_sampler, f0, n_points=8, n_trials=20, seed=0)
+    np.testing.assert_allclose([rep.lhs, rep.rhs, rep.std_error],
+                               [0.08753436639750764, 0.26635120187405237, 0.150920164926022],
+                               rtol=1e-12, atol=0.0)
+    assert rep.passed and rep.n_draws == 20
+
+
 def test_symmetrization_single_hypothesis_gap_near_zero():
     spec = ActivationSpec.from_name("tanh", 1)
     hyps = make_net_hypotheses(1, spec, seed=4)
