@@ -5,7 +5,7 @@ Taylor-Green bound-vs-gap correlation study."""
 
 __version__ = "0.1.0"
 
-from .activations import ActivationSpec, Family, SigmaConstants, constants, estimate_constants, eval_derivs
+from .activations import ActivationSpec, Family, SigmaConstants, constants, eval_derivs, exact_constants
 from .bounds import BoundReport, WeightStats, generalization_bound, point_ratio, sample_planner, bound_constants, weight_stats
 from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenParams,
                          measure_gap, moment_constants, pearson, sample_initial,

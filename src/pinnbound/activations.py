@@ -1,12 +1,12 @@
 """Scalar activation families with derivative stacks up to third order.
 
 Supported families: tanh^k, sigmoid^k (k >= 1) and exp(-x)*relu(x)^k
-(k >= 3).  tanh and sigmoid powers are handled through a polynomial
-representation: if s = tanh(x) then ds/dx = 1 - s^2, so every derivative
-of tanh^k is a polynomial in s, and similarly ds/dx = s(1 - s) for the
-sigmoid.  This gives exact closed forms for sigma through sigma''',
-which `eval_derivs` evaluates by Horner's rule from coefficients cached
-per (family, k).
+(k >= 3).  If s = tanh(x) then ds/dx = 1 - s^2, so every derivative of
+tanh^k is a polynomial in s; ds/dx = s(1 - s) for the sigmoid, and every
+derivative of e^{-x} x^k is e^{-x} times a polynomial in x.
+`eval_derivs` evaluates these closed forms by Horner's rule from
+coefficients cached per (family, k); `exact_constants` reads the bound
+constants off the same polynomials.
 """
 
 from __future__ import annotations
@@ -67,39 +67,29 @@ class SigmaConstants:
             raise ValueError("values at 0 cannot exceed the sup bounds")
 
 
-def _poly_shift_derivative(coeffs: dict, mode: str) -> dict:
-    # One application of d/dx to a polynomial sum c_m s^m, where
-    # d(s^m)/dx = m (s^{m-1} - s^{m+1}) for s = tanh and
-    # d(s^m)/dx = m (s^m - s^{m+1}) for s = sigmoid.
-    out: dict = {}
-    for m, c in coeffs.items():
-        if m == 0:
-            continue
-        if mode == "tanh":
-            out[m - 1] = out.get(m - 1, 0.0) + m * c
-            out[m + 1] = out.get(m + 1, 0.0) - m * c
-        else:
-            out[m] = out.get(m, 0.0) + m * c
-            out[m + 1] = out.get(m + 1, 0.0) - m * c
-    return out
+# ds/dx as a polynomial in s, highest degree first.
+_DS_DX = {Family.TANH_POW: (-1.0, 0.0, 1.0), Family.SIGMOID_POW: (-1.0, 1.0, 0.0)}
 
 
 @functools.lru_cache(maxsize=None)
 def _stack_coefficients(family: Family, k: int) -> tuple:
-    """Dense coefficients, highest degree first, of sigma..sigma''' as
+    """Dense coefficients, highest degree first, of sigma..sigma'''' as
     polynomials in s = tanh x or s = sigmoid x; for exp(-x)relu(x)^k, of
-    e^x sigma^(n)(x) as polynomials in x > 0."""
-    if family is Family.EXP_NEG_RELU_POW:
-        # The n-th derivative of e^{-x} x^k is
-        # e^{-x} * sum_j C(n,j) (-1)^{n-j} k!/(k-j)! x^{k-j}; for k >= 3 the
-        # one-sided limits at 0 agree (all zero) through the third derivative.
-        polys = [{k - j: math.comb(n, j) * (-1.0) ** (n - j) * math.perm(k, j)
-                  for j in range(min(n, k) + 1)} for n in range(4)]
-    else:
-        polys = [{k: 1.0}]
-        for _ in range(3):
-            polys.append(_poly_shift_derivative(polys[-1], family.value))
-    return tuple(tuple(float(p.get(m, 0.0)) for m in range(max(p), -1, -1)) for p in polys)
+    e^x sigma^(n)(x) as polynomials in x > 0.
+
+    One recurrence builds every stack: q_{n+1} = q_n'(s) ds/dx, or
+    q_{n+1} = q_n' - q_n for exp(-x)relu(x)^k since (e^{-x} q)' =
+    e^{-x} (q' - q); for k >= 3 its one-sided limits at 0 agree through
+    sigma''.
+    """
+    polys = [np.eye(1, k + 1)[0]]  # s^k, or x^k
+    for _ in range(4):
+        dq = np.polyder(polys[-1])
+        if family is Family.EXP_NEG_RELU_POW:
+            polys.append(np.polysub(dq, polys[-1]))
+        else:
+            polys.append(np.polymul(dq, _DS_DX[family]))
+    return tuple(tuple(float(c) for c in p) for p in polys)
 
 
 def _horner(coeffs: tuple, s: np.ndarray) -> np.ndarray:
@@ -113,7 +103,7 @@ def _horner(coeffs: tuple, s: np.ndarray) -> np.ndarray:
 def eval_derivs(spec: ActivationSpec, x):
     """Return (sigma, sigma', sigma'', sigma''') at x; accepts arrays."""
     x = np.asarray(x, dtype=float)
-    coeffs = _stack_coefficients(spec.family, spec.k)
+    coeffs = _stack_coefficients(spec.family, spec.k)[:4]
     if spec.family is Family.EXP_NEG_RELU_POW:
         pos = x > 0
         xp = np.where(pos, x, 1.0)
@@ -123,44 +113,46 @@ def eval_derivs(spec: ActivationSpec, x):
     return tuple(_horner(c, s) for c in coeffs)
 
 
-_TANH1 = SigmaConstants(L_sigma=1.0, L_sigma1=1.0, L_sigma2=2.0,
-                        B_sigma=1.0, B_sigma1=1.0, c0=0.0, c1=1.0, c2=0.0)
-_TANH3 = SigmaConstants(L_sigma=0.75, L_sigma1=1.4, L_sigma2=6.0,
-                        B_sigma=1.0, B_sigma1=0.75, c0=0.0, c1=0.0, c2=0.0)
+_TANH_TABLES = {1: SigmaConstants(L_sigma=1.0, L_sigma1=1.0, L_sigma2=2.0,
+                                  B_sigma=1.0, B_sigma1=1.0, c0=0.0, c1=1.0, c2=0.0),
+                3: SigmaConstants(L_sigma=0.75, L_sigma1=1.4, L_sigma2=6.0,
+                                  B_sigma=1.0, B_sigma1=0.75, c0=0.0, c1=0.0, c2=0.0)}
 
 
 def constants(spec: ActivationSpec) -> SigmaConstants:
-    """Constants for the bound.  tanh and tanh^3 use the tabulated values;
-    every other family/exponent falls back to a grid estimate."""
-    if spec.family is Family.TANH_POW and spec.k == 1:
-        return _TANH1
-    if spec.family is Family.TANH_POW and spec.k == 3:
-        return _TANH3
-    return estimate_constants(spec, grid_half_width=20.0, grid_step=1e-3)
+    """Constants for the bound.  tanh and tanh^3 use the paper's tables,
+    which dominate the exact values; every other family/exponent uses
+    `exact_constants`."""
+    if spec.family is Family.TANH_POW and spec.k in _TANH_TABLES:
+        return _TANH_TABLES[spec.k]
+    return exact_constants(spec)
 
 
-def estimate_constants(spec: ActivationSpec, grid_half_width: float,
-                       grid_step: float) -> SigmaConstants:
-    """Estimate the constants numerically on a dense symmetric grid.
+# Where each family's polynomials are evaluated: s = tanh x fills [-1, 1]
+# and s = sigmoid x fills [0, 1]; exp(-x)relu(x)^k lives on x >= 0.
+_RANGE = {Family.TANH_POW: (-1.0, 1.0), Family.SIGMOID_POW: (0.0, 1.0),
+          Family.EXP_NEG_RELU_POW: (0.0, math.inf)}
 
-    Lipschitz constants are grid sups of the next-order derivative,
-    inflated by 1%; sup bounds are plain grid sups; the values at zero
-    are exact.  All families here decay or saturate, so the grid sup is
-    an honest estimate once the grid covers the transition region.
+
+def exact_constants(spec: ActivationSpec) -> SigmaConstants:
+    """Constants of `spec` read off its derivative polynomials, exact up
+    to float rounding.
+
+    sup |sigma^(n)| is attained at an end of the range or at a real root
+    of the next polynomial (exp(-x)relu(x)^k tends to 0 at infinity).
+    The real parts of all roots inside the range are candidates: each
+    lies in the domain, so none needs a tolerance, and a double root
+    returned as a complex pair is still covered.
     """
-    if grid_half_width <= 0 or grid_step <= 0:
-        raise ValueError("grid_half_width and grid_step must be > 0")
-    xs = np.arange(-grid_half_width, grid_half_width + grid_step, grid_step)
-    s0, s1, s2, s3 = eval_derivs(spec, xs)
-    for arr in (s0, s1, s2, s3):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite derivative value on the estimation grid")
+    polys = _stack_coefficients(spec.family, spec.k)
+    lo, hi = _RANGE[spec.family]
+    sups = []
+    for q, dq in zip(polys, polys[1:]):
+        roots = np.roots(dq).real
+        s = np.append(roots[(roots >= lo) & (roots <= hi)], (lo, hi) if hi < math.inf else lo)
+        e = np.exp(-s) if spec.family is Family.EXP_NEG_RELU_POW else 1.0
+        sups.append(float(np.max(np.abs(e * _horner(q, s)))))
+    B0, B1, B2, B3 = sups
     z0, z1, z2, _ = eval_derivs(spec, 0.0)
-    return SigmaConstants(
-        L_sigma=1.01 * float(np.max(np.abs(s1))),
-        L_sigma1=1.01 * float(np.max(np.abs(s2))),
-        L_sigma2=1.01 * float(np.max(np.abs(s3))),
-        B_sigma=float(np.max(np.abs(s0))),
-        B_sigma1=float(np.max(np.abs(s1))),
-        c0=float(z0), c1=float(z1), c2=float(z2),
-    )
+    return SigmaConstants(L_sigma=B1, L_sigma1=B2, L_sigma2=B3, B_sigma=B0,
+                          B_sigma1=B1, c0=float(z0), c1=float(z1), c2=float(z2))

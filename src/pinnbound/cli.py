@@ -127,9 +127,12 @@ def _train_cfg(cfg: dict) -> TrainConfig:
 def _sigma_constants(cfg: dict, spec: ActivationSpec) -> SigmaConstants:
     """Activation constants; also checks the `bound` section before any work."""
     bound = cfg["bound"]
-    if not isinstance(bound, dict) or bound.get("cz_convention") not in ("sqrt", "literal"):
-        raise UsageError("bound must be a section whose cz_convention is 'sqrt' or "
-                         f"'literal', got {bound!r}")
+    n = bound.get("moment_sample") if isinstance(bound, dict) else None
+    if (not isinstance(bound, dict) or bound.get("cz_convention") not in ("sqrt", "literal")
+            or not isinstance(bound.get("proof_variant"), bool) or type(n) is not int or n < 1):
+        raise UsageError("bound must be a section with cz_convention 'sqrt' or 'literal', "
+                         "proof_variant true or false, and moment_sample an integer >= 1, "
+                         f"got {bound!r}")
     override = bound.get("constants_override")
     if not override:
         return constants(spec)
@@ -200,7 +203,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 def _moment_constants_for(cfg: dict, box) -> tuple[float, float]:
     box = np.asarray(box, dtype=float)
-    n = int(cfg["bound"]["moment_sample"])
+    n = cfg["bound"]["moment_sample"]
     seed = int(cfg["seed"])
     C_z, C_z0 = moment_constants(sample_interior(n, box, seed),
                                  sample_initial(n, box[:-1], seed + 1))
@@ -222,7 +225,7 @@ def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
     n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
     report = bounds.generalization_bound(bounds.weight_stats(weights), sc, loss_cfg,
                                          n_r, n_0, C_z, C_z0,
-                                         proof_variant=bool(cfg["bound"]["proof_variant"]))
+                                         proof_variant=cfg["bound"]["proof_variant"])
     doc = report.to_dict()
     _write_json(out_dir / "bound.json", doc, cfg)
     with open(out_dir / "bound.csv", "w", newline="") as fh:
@@ -319,6 +322,10 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 def _sweep_config(cfg: dict) -> SweepConfig:
     spec = _activation(cfg)
+    sc = _sigma_constants(cfg, spec)
+    if cfg["bound"]["cz_convention"] != "sqrt" or cfg["bound"]["proof_variant"]:
+        raise UsageError("bound.cz_convention=literal and bound.proof_variant=true apply to "
+                         "`pinnbound bound` only; the sweep uses sqrt C_z of its population")
     return SweepConfig(
         n_r_values=tuple(int(n) for n in cfg["sweep"]["n_r_values"]),
         n_0=int(cfg["sampling"]["n_0"]),
@@ -329,7 +336,7 @@ def _sweep_config(cfg: dict) -> SweepConfig:
         box=_box(cfg),
         seed=int(cfg["seed"]),
         population_factor=int(cfg["sweep"]["population_factor"]),
-        sigma_constants=_sigma_constants(cfg, spec),
+        sigma_constants=sc,
     )
 
 

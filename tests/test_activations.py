@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pinnbound import (ActivationSpec, SigmaConstants, constants, eval_derivs,
-                       estimate_constants)
+                       exact_constants)
+from pinnbound.activations import _stack_coefficients
 
 from conftest import FAMILIES, central_diff
 
@@ -97,14 +98,67 @@ def test_constants_dominate_samples(spec, rng):
     assert np.all(np.abs(s2x - s2y) <= sc.L_sigma2 * gap + tol)
 
 
-def test_estimated_tanh_constants_near_truth():
-    sc = estimate_constants(ActivationSpec.from_name("tanh", 2),
-                            grid_half_width=20.0, grid_step=1e-3)
-    # sup |d/dx tanh^2| = 0.7699; the 1% inflation keeps it an upper bound
-    assert 0.76 < sc.L_sigma < 0.79
-    assert abs(sc.B_sigma - 1.0) < 1e-6
-    assert sc.c0 == 0.0 and sc.c1 == 0.0
-    assert abs(sc.c2 - 2.0) < 1e-15
+EXACT_SPECS = ([ActivationSpec.from_name(f, k) for f in ("tanh", "sigmoid")
+                for k in range(1, 7)]
+               + [ActivationSpec.from_name("expnegrelu", k) for k in range(3, 7)])
+
+# each sup bound and Lipschitz constant is the sup of |sigma^(n)| for this n
+_SUP_ORDER = {"B_sigma": 0, "B_sigma1": 1, "L_sigma": 1, "L_sigma1": 2, "L_sigma2": 3}
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS, ids=lambda s: f"{s.family.value}^{s.k}")
+def test_exact_constants_match_a_fine_grid(spec):
+    # A grid max cannot exceed the true sup, and misses it by about the
+    # step squared; the 1e-12 below it is float rounding, not slack.
+    xs = np.concatenate([np.arange(-40.0, 40.0 + 5e-5, 1e-4), [-1e-12, 1e-12]])
+    stack = eval_derivs(spec, xs)
+    sc = exact_constants(spec)
+    for field, n in _SUP_ORDER.items():
+        grid_max = float(np.max(np.abs(stack[n])))
+        assert grid_max * (1 - 1e-12) <= getattr(sc, field) <= grid_max * (1 + 1e-6), field
+    assert (sc.c0, sc.c1, sc.c2) == tuple(float(v) for v in eval_derivs(spec, 0.0)[:3])
+
+
+def test_exact_constants_closed_forms():
+    tanh2 = exact_constants(ActivationSpec.from_name("tanh", 2))
+    assert tanh2.L_sigma == pytest.approx(4 / (3 * math.sqrt(3)), abs=1e-12)
+    sig = exact_constants(ActivationSpec.from_name("sigmoid", 1))
+    assert sig.B_sigma1 == pytest.approx(0.25, abs=1e-12)
+    assert sig.L_sigma1 == pytest.approx(1 / (6 * math.sqrt(3)), abs=1e-12)
+    enr = exact_constants(ActivationSpec.from_name("expnegrelu", 3))
+    assert enr.B_sigma == pytest.approx(27 * math.exp(-3), abs=1e-12)
+    assert enr.L_sigma2 == pytest.approx(6.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_tanh_tables_dominate_exact_constants(k):
+    spec = ActivationSpec.from_name("tanh", k)
+    table, exact = constants(spec), exact_constants(spec)
+    for field in _SUP_ORDER:
+        # rounding again: tanh^3's L_sigma can compute to 0.7500000000000001
+        assert getattr(table, field) >= getattr(exact, field) * (1 - 1e-12), field
+    assert (table.c0, table.c1, table.c2) == (exact.c0, exact.c1, exact.c2)
+
+
+# Dense stacks sigma..sigma''' as the earlier per-family code built them
+# (a dict recurrence for tanh^k and sigmoid^k, binomial sums for
+# exp(-x)relu(x)^k).
+_EARLIER_STACKS = {
+    ("tanh", 3): ((1.0, 0.0, 0.0, 0.0), (-3.0, 0.0, 3.0, 0.0, 0.0),
+                  (12.0, 0.0, -18.0, 0.0, 6.0, 0.0),
+                  (-60.0, 0.0, 114.0, 0.0, -60.0, 0.0, 6.0)),
+    ("sigmoid", 2): ((1.0, 0.0, 0.0), (-2.0, 2.0, 0.0, 0.0), (6.0, -10.0, 4.0, 0.0, 0.0),
+                     (-24.0, 54.0, -38.0, 8.0, 0.0, 0.0)),
+    ("expnegrelu", 3): ((1.0, 0.0, 0.0, 0.0), (-1.0, 3.0, 0.0, 0.0), (1.0, -6.0, 6.0, 0.0),
+                        (-1.0, 9.0, -18.0, 6.0)),
+}
+
+
+@pytest.mark.parametrize("name, k", list(_EARLIER_STACKS))
+def test_stack_coefficients_equal_earlier_stacks_bit_for_bit(name, k):
+    spec = ActivationSpec.from_name(name, k)
+    as_hex = lambda polys: [[c.hex() for c in p] for p in polys]  # tells -0.0 from 0.0
+    assert as_hex(_stack_coefficients(spec.family, k)[:4]) == as_hex(_EARLIER_STACKS[name, k])
 
 
 def test_estimated_exp_neg_relu_constants_finite():

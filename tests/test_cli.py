@@ -145,7 +145,9 @@ def test_bound_constants_override(tmp_path):
     assert doc["sigma_constants"]["L_sigma1"] == 0.8
 
 
-@pytest.mark.parametrize("assignment", ["bound=3", "bound.cz_convention=bogus"])
+@pytest.mark.parametrize("assignment", ["bound=3", "bound.cz_convention=bogus",
+                                        "bound.proof_variant=no", "bound.moment_sample=abc",
+                                        "bound.moment_sample=0"])
 def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
     ck = tmp_path / "ck.json"
     save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
@@ -264,6 +266,8 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("verify.n_points=0 verify.n_instances=1 verify.sym_classes=0", "verify"),
     ("bound=3", "sweep"),
     ("bound.cz_convention=bogus", "sweep"),
+    ("bound.cz_convention=literal", "sweep"),
+    ("bound.proof_variant=true", "sweep"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     out = tmp_path / "bad"
