@@ -103,11 +103,21 @@ def resolve_config(args) -> dict:
 
 
 def _activation(cfg: dict) -> ActivationSpec:
+    act = cfg["activation"]
+    if not isinstance(act, dict) or type(act.get("k")) is not int:
+        raise UsageError(f"activation must be a section with a family and an integer k, "
+                         f"got {act!r}")
     try:
-        return ActivationSpec.from_name(cfg["activation"]["family"],
-                                        int(cfg["activation"]["k"]))
+        return ActivationSpec.from_name(act.get("family"), act["k"])
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _seed(cfg: dict) -> int:
+    seed = cfg["seed"]
+    if type(seed) is not int or seed < 0:
+        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _loss(cfg: dict) -> LossConfig:
@@ -168,7 +178,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     try:
         box = np.asarray(_box(cfg), dtype=float)
         d, p = int(cfg["dims"]["d"]), int(cfg["dims"]["p"])
-        seed = int(cfg["seed"])
+        seed = _seed(cfg)
         n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
         if len(box) != d + 1:
             raise UsageError(f"box has {len(box)} axes but d+1 = {d + 1}")
@@ -204,7 +214,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 def _moment_constants_for(cfg: dict, box) -> tuple[float, float]:
     box = np.asarray(box, dtype=float)
     n = cfg["bound"]["moment_sample"]
-    seed = int(cfg["seed"])
+    seed = _seed(cfg)
     C_z, C_z0 = moment_constants(sample_interior(n, box, seed),
                                  sample_initial(n, box[:-1], seed + 1))
     if cfg["bound"]["cz_convention"] == "literal":
@@ -254,7 +264,7 @@ def _verify_reports(cfg: dict):
     v = _verify_counts(cfg)
     spec = _activation(cfg)
     loss_cfg = _loss(cfg)
-    seed = int(cfg["seed"])
+    seed = _seed(cfg)
     n_points = v["n_points"]
     n_draws = v["n_draws"]
     reports = []
@@ -323,9 +333,12 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 def _sweep_config(cfg: dict) -> SweepConfig:
     spec = _activation(cfg)
     sc = _sigma_constants(cfg, spec)
-    if cfg["bound"]["cz_convention"] != "sqrt" or cfg["bound"]["proof_variant"]:
-        raise UsageError("bound.cz_convention=literal and bound.proof_variant=true apply to "
-                         "`pinnbound bound` only; the sweep uses sqrt C_z of its population")
+    bound = cfg["bound"]
+    if (bound["cz_convention"] != "sqrt" or bound["proof_variant"]
+            or bound["moment_sample"] != DEFAULT_CONFIG["bound"]["moment_sample"]):
+        raise UsageError("bound.cz_convention, bound.proof_variant and bound.moment_sample "
+                         "apply to `pinnbound bound` only; the sweep uses sqrt C_z of its "
+                         "population")
     return SweepConfig(
         n_r_values=tuple(int(n) for n in cfg["sweep"]["n_r_values"]),
         n_0=int(cfg["sampling"]["n_0"]),
@@ -334,7 +347,7 @@ def _sweep_config(cfg: dict) -> SweepConfig:
         loss=_loss(cfg),
         train=_train_cfg(cfg),
         box=_box(cfg),
-        seed=int(cfg["seed"]),
+        seed=_seed(cfg),
         population_factor=int(cfg["sweep"]["population_factor"]),
         sigma_constants=sc,
     )

@@ -72,10 +72,13 @@ class FieldEval:
         return [FieldEval(*vals) for vals in zip(*vars(self).values())]
 
 
-def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tuple]:
+def fields(weights: PinnWeights, spec: ActivationSpec, Z,
+           derivatives: bool = True) -> tuple[FieldEval, tuple]:
     """Closed-form field at each row of Z (N, d+1): values and the space-time
     derivatives the residuals need, plus the activation stack sigma..sigma'''
-    at the pre-activations, each (N, p), which the W-gradient reuses."""
+    at the pre-activations, each (N, p), which the W-gradient reuses.
+    With derivatives=False only u and p_val are built (the initial-condition
+    term reads nothing else) and the other entries are None."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != weights.d + 1:
         raise ValueError(f"points have shape {Z.shape}, expected (N, {weights.d + 1})")
@@ -83,9 +86,12 @@ def fields(weights: PinnWeights, spec: ActivationSpec, Z) -> tuple[FieldEval, tu
     d = weights.d
     stack = eval_derivs(spec, Z @ W.T)
     s0, s1, s2, _ = stack
+    u, p_val = s0 @ A1.T, s0 @ a2
+    if not derivatives:
+        return FieldEval(u, p_val, None, None, None, None, None), stack
     Wx = W[:, :d]
     jac = (s1[:, None, :] * A1) @ Wx
-    fe = FieldEval(u=s0 @ A1.T, p_val=s0 @ a2, du_dt=(s1 * W[:, d]) @ A1.T,
+    fe = FieldEval(u=u, p_val=p_val, du_dt=(s1 * W[:, d]) @ A1.T,
                    jac_u=jac, grad_p=(s1 * a2) @ Wx,
                    lap_u=(s2 * np.sum(Wx * Wx, axis=1)) @ A1.T,
                    div_u=jac.trace(axis1=1, axis2=2))

@@ -11,6 +11,7 @@ and hands it to the risk and the gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     `field_eval`, computed without a Python loop over points).
     F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`."""
     fe = fields(weights, spec, colloc.interior)[0]
-    u0 = fields(weights, spec, colloc.initial_spacetime)[0].u
+    u0 = fields(weights, spec, colloc.initial_spacetime, derivatives=False)[0].u
     initial = cfg.lambda1 * np.sum(huber(cfg.delta, u0 - F0), axis=1)
     return RiskBreakdown.average(*interior_losses(fe, cfg), initial)
 
@@ -103,7 +104,7 @@ def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     G /= colloc.n_interior
 
     Z0 = colloc.initial_spacetime
-    fe0, (_, s1_0, _, _) = fields(weights, spec, Z0)
+    fe0, (_, s1_0, _, _) = fields(weights, spec, Z0, derivatives=False)
     g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
     G += ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
     return G
@@ -126,6 +127,24 @@ def adamw_step(weights: PinnWeights, grads: np.ndarray, state: OptimState,
     return PinnWeights(W=W, A1=weights.A1, a2=weights.a2), OptimState(step=step, m=m, v=v)
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap threshold at the 32 MiB ceiling of its own dynamic
+    threshold, and the trim threshold at twice that, for the whole process.
+    An epoch frees the few MB of temporaries it allocates; left to its
+    defaults glibc hands them back to the kernel and the next epoch faults
+    the same pages in again.  Other C libraries are left alone."""
+    import ctypes
+    import platform
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def train(weights0: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
           colloc: CollocationSet, f0, tc: TrainConfig):
     """Full-batch AdamW for tc.epochs epochs; fully deterministic.
@@ -133,6 +152,7 @@ def train(weights0: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
     Returns the final weights and a history of (epoch, RiskBreakdown)
     sampled every log_every epochs (plus the last epoch).
     """
+    _keep_freed_memory()
     weights = weights0.copy()
     state = OptimState.zeros(weights)
     history: list[tuple[int, RiskBreakdown]] = []

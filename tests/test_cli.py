@@ -268,6 +268,11 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("bound.cz_convention=bogus", "sweep"),
     ("bound.cz_convention=literal", "sweep"),
     ("bound.proof_variant=true", "sweep"),
+    ("bound.moment_sample=1", "sweep"),
+    ("seed=-1", "verify"),
+    ("seed=-1", "sweep"),
+    ("activation=3", "train"),
+    ("activation.k=2.5", "train"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     out = tmp_path / "bad"

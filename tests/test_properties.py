@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -87,6 +88,23 @@ def test_fields_jacobian_matches_einsum(d, p, spec, seed, n):
     s1 = eval_derivs(spec, Z @ weights.W.T)[1]
     ref = np.einsum("nq,kq,qm->nkm", s1, weights.A1, weights.W[:, :d])
     np.testing.assert_allclose(fields(weights, spec, Z)[0].jac_u, ref, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family.value}^{s.k}")
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(d=dims, p=widths, seed=seeds, n=st.integers(1, 9))
+def test_fields_values_only_matches_full_call(spec, d, p, seed, n):
+    weights = init_weights(d, p, seed=seed)
+    Z = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, d + 1))
+    full, full_stack = fields(weights, spec, Z)
+    values, stack = fields(weights, spec, Z, derivatives=False)
+    assert len(stack) == 4
+    for got, ref in zip(stack, full_stack):
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(values.u, full.u)
+    np.testing.assert_array_equal(values.p_val, full.p_val)
+    assert all(val is None for name, val in vars(values).items()
+               if name not in ("u", "p_val"))
 
 
 def colloc_for(seed, d, n_r, n_0):

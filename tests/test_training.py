@@ -1,6 +1,13 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pinnbound
 from pinnbound import (ActivationSpec, FieldEval, LossConfig, OptimState, PinnWeights,
                        TrainConfig, adamw_step, empirical_risk, field_eval,
                        grad_risk, init_weights, initial_targets, risk_breakdown,
@@ -170,3 +177,35 @@ def test_train_reports_divergence():
     tc = TrainConfig(epochs=5, learning_rate=1e160, weight_decay=0.0, log_every=1)
     with pytest.raises(RuntimeError):
         train(weights0, spec, LossConfig(), colloc, f0_demo, tc)
+
+
+# The desk `train` (tanh^3, p = 64, N_r = 216, N_0 = 500) run for 20 epochs,
+# then for 100; prints the minor page faults per epoch of the second run.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, TaylorGreenParams,
+                       TrainConfig, init_weights, sample_initial, sample_interior,
+                       taylor_green_initial, train)
+box = np.array([(0.0, 1.0)] * 3)
+colloc = CollocationSet(interior=sample_interior(216, box, 0),
+                        initial=sample_initial(500, box[:-1], 1))
+args = (init_weights(2, 64, seed=2), ActivationSpec.from_name("tanh", 3), LossConfig(),
+        colloc, taylor_green_initial(TaylorGreenParams()))
+train(*args, TrainConfig(epochs=20))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(*args, TrainConfig(epochs=100))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_training_epochs_reuse_freed_memory():
+    # A fresh process, because the test runner's own heap history can hide
+    # the pages an epoch hands back to the kernel and faults in again.
+    src = str(Path(pinnbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert float(out) < 10
