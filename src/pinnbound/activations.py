@@ -4,9 +4,10 @@ Supported families: tanh^k, sigmoid^k (k >= 1) and exp(-x)*relu(x)^k
 (k >= 3).  If s = tanh(x) then ds/dx = 1 - s^2, so every derivative of
 tanh^k is a polynomial in s; ds/dx = s(1 - s) for the sigmoid, and every
 derivative of e^{-x} x^k is e^{-x} times a polynomial in x.
-`eval_derivs` evaluates these closed forms by Horner's rule from
-coefficients cached per (family, k); `exact_constants` reads the bound
-constants off the same polynomials.
+`eval_derivs` fills one power basis per block of points (s^j, or
+e^{-r} r^j with r = max(x, 0)) and gets all four levels from one matmul
+with coefficients cached per (family, k); `exact_constants` reads the
+bound constants off the same polynomials.
 """
 
 from __future__ import annotations
@@ -92,25 +93,40 @@ def _stack_coefficients(family: Family, k: int) -> tuple:
     return tuple(tuple(float(c) for c in p) for p in polys)
 
 
-def _horner(coeffs: tuple, s: np.ndarray) -> np.ndarray:
-    acc = np.full_like(s, coeffs[0])
-    for c in coeffs[1:]:
-        acc *= s
-        acc += c
-    return acc
+# Points per power-basis block: keeps the basis cache-sized, and peak memory at the output's.
+_BLOCK = 8192
+
+
+@functools.lru_cache(maxsize=None)
+def _level_matrix(family: Family, k: int) -> np.ndarray:
+    """sigma..sigma''' over the power basis: (4, m + 1), lowest degree first."""
+    polys = _stack_coefficients(family, k)[:4]
+    width = max(map(len, polys))
+    return np.array([p[::-1] + (0.0,) * (width - len(p)) for p in polys])
 
 
 def eval_derivs(spec: ActivationSpec, x):
-    """Return (sigma, sigma', sigma'', sigma''') at x; accepts arrays."""
+    """Return (sigma, sigma', sigma'', sigma''') at x; accepts arrays.  The
+    levels are the rows of one (4, x.size) array: one matmul per basis block."""
     x = np.asarray(x, dtype=float)
-    coeffs = _stack_coefficients(spec.family, spec.k)[:4]
-    if spec.family is Family.EXP_NEG_RELU_POW:
-        pos = x > 0
-        xp = np.where(pos, x, 1.0)
-        e = np.exp(-xp)
-        return tuple(np.where(pos, e * _horner(c, xp), 0.0) for c in coeffs)
-    s = np.tanh(x) if spec.family is Family.TANH_POW else 1.0 / (1.0 + np.exp(-x))
-    return tuple(_horner(c, s) for c in coeffs)
+    flat, C = x.reshape(-1), _level_matrix(spec.family, spec.k)
+    out = np.empty((4, flat.size))
+    basis = np.empty((C.shape[1], min(flat.size, _BLOCK)))
+    for a in range(0, flat.size, _BLOCK):
+        xb = flat[a:a + _BLOCK]
+        b = basis[:, :xb.size]
+        if spec.family is Family.EXP_NEG_RELU_POW:
+            var = np.maximum(xb, 0.0)
+            np.multiply(np.exp(-var, out=b[0]), var, out=b[1])
+            b[0] *= xb > 0  # rows j >= 1 hold r^j = 0 there already
+        else:
+            b[0] = 1.0
+            var = (np.tanh(xb, out=b[1]) if spec.family is Family.TANH_POW
+                   else np.divide(1.0, 1.0 + np.exp(-xb), out=b[1]))
+        for j in range(2, len(b)):
+            np.multiply(b[j - 1], var, out=b[j])
+        np.matmul(C, b, out=out[:, a:a + _BLOCK])
+    return tuple(row.reshape(x.shape) for row in out)
 
 
 _TANH_TABLES = {1: SigmaConstants(L_sigma=1.0, L_sigma1=1.0, L_sigma2=2.0,
@@ -151,7 +167,7 @@ def exact_constants(spec: ActivationSpec) -> SigmaConstants:
         roots = np.roots(dq).real
         s = np.append(roots[(roots >= lo) & (roots <= hi)], (lo, hi) if hi < math.inf else lo)
         e = np.exp(-s) if spec.family is Family.EXP_NEG_RELU_POW else 1.0
-        sups.append(float(np.max(np.abs(e * _horner(q, s)))))
+        sups.append(float(np.max(np.abs(e * np.polyval(q, s)))))
     B0, B1, B2, B3 = sups
     z0, z1, z2, _ = eval_derivs(spec, 0.0)
     return SigmaConstants(L_sigma=B1, L_sigma1=B2, L_sigma2=B3, B_sigma=B0,

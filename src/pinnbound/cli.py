@@ -102,6 +102,26 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+# The single counts; every `verify` entry and sweep.n_r_values entry is one too.
+_COUNTS = ("dims.d", "dims.p", "sampling.n_r", "sampling.n_0", "training.epochs",
+           "training.log_every", "bound.moment_sample", "sweep.population_factor")
+
+
+def _check_counts(cfg: dict) -> None:
+    """Every count is an integer >= 1, the seed one >= 0: checked once, up front."""
+    try:
+        counts = [(name, cfg[sec].get(key)) for name in _COUNTS for sec, key in [name.split(".")]]
+        counts += [(f"verify.{key}", n) for key, n in cfg["verify"].items()]
+        counts += [("sweep.n_r_values", n) for n in cfg["sweep"]["n_r_values"]]
+    except (AttributeError, TypeError) as exc:
+        raise UsageError(f"a config section holds a value, or sweep.n_r_values is no list: {exc}")
+    for name, n in counts:
+        if type(n) is not int or n < 1:
+            raise UsageError(f"{name} must be an integer >= 1, got {n!r}")
+    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
+        raise UsageError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
+
+
 def _activation(cfg: dict) -> ActivationSpec:
     act = cfg["activation"]
     if not isinstance(act, dict) or type(act.get("k")) is not int:
@@ -111,13 +131,6 @@ def _activation(cfg: dict) -> ActivationSpec:
         return ActivationSpec.from_name(act.get("family"), act["k"])
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _seed(cfg: dict) -> int:
-    seed = cfg["seed"]
-    if type(seed) is not int or seed < 0:
-        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
 
 
 def _loss(cfg: dict) -> LossConfig:
@@ -137,12 +150,10 @@ def _train_cfg(cfg: dict) -> TrainConfig:
 def _sigma_constants(cfg: dict, spec: ActivationSpec) -> SigmaConstants:
     """Activation constants; also checks the `bound` section before any work."""
     bound = cfg["bound"]
-    n = bound.get("moment_sample") if isinstance(bound, dict) else None
-    if (not isinstance(bound, dict) or bound.get("cz_convention") not in ("sqrt", "literal")
-            or not isinstance(bound.get("proof_variant"), bool) or type(n) is not int or n < 1):
-        raise UsageError("bound must be a section with cz_convention 'sqrt' or 'literal', "
-                         "proof_variant true or false, and moment_sample an integer >= 1, "
-                         f"got {bound!r}")
+    if (bound.get("cz_convention") not in ("sqrt", "literal")
+            or not isinstance(bound.get("proof_variant"), bool)):
+        raise UsageError("bound needs cz_convention 'sqrt' or 'literal' and proof_variant "
+                         f"true or false, got {bound!r}")
     override = bound.get("constants_override")
     if not override:
         return constants(spec)
@@ -177,9 +188,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     tc = _train_cfg(cfg)
     try:
         box = np.asarray(_box(cfg), dtype=float)
-        d, p = int(cfg["dims"]["d"]), int(cfg["dims"]["p"])
-        seed = _seed(cfg)
-        n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
+        d, p, seed = cfg["dims"]["d"], cfg["dims"]["p"], cfg["seed"]
+        n_r, n_0 = cfg["sampling"]["n_r"], cfg["sampling"]["n_0"]
         if len(box) != d + 1:
             raise UsageError(f"box has {len(box)} axes but d+1 = {d + 1}")
         if d != 2:
@@ -213,8 +223,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 def _moment_constants_for(cfg: dict, box) -> tuple[float, float]:
     box = np.asarray(box, dtype=float)
-    n = cfg["bound"]["moment_sample"]
-    seed = _seed(cfg)
+    n, seed = cfg["bound"]["moment_sample"], cfg["seed"]
     C_z, C_z0 = moment_constants(sample_interior(n, box, seed),
                                  sample_initial(n, box[:-1], seed + 1))
     if cfg["bound"]["cz_convention"] == "literal":
@@ -232,9 +241,8 @@ def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
     loss_cfg = _loss(cfg)
     sc = _sigma_constants(cfg, spec)
     C_z, C_z0 = _moment_constants_for(cfg, _box(cfg))
-    n_r, n_0 = int(cfg["sampling"]["n_r"]), int(cfg["sampling"]["n_0"])
     report = bounds.generalization_bound(bounds.weight_stats(weights), sc, loss_cfg,
-                                         n_r, n_0, C_z, C_z0,
+                                         cfg["sampling"]["n_r"], cfg["sampling"]["n_0"], C_z, C_z0,
                                          proof_variant=cfg["bound"]["proof_variant"])
     doc = report.to_dict()
     _write_json(out_dir / "bound.json", doc, cfg)
@@ -249,22 +257,11 @@ def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
     return 0
 
 
-def _verify_counts(cfg: dict) -> dict:
-    """The `verify` section, every entry a count >= 1."""
-    try:
-        v = {key: int(val) for key, val in cfg["verify"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad verify config: {exc}")
-    if min(v.values(), default=1) < 1:
-        raise UsageError(f"verify counts must be >= 1, got {v}")
-    return v
-
-
 def _verify_reports(cfg: dict):
-    v = _verify_counts(cfg)
+    v = cfg["verify"]
     spec = _activation(cfg)
     loss_cfg = _loss(cfg)
-    seed = _seed(cfg)
+    seed = cfg["seed"]
     n_points = v["n_points"]
     n_draws = v["n_draws"]
     reports = []
@@ -340,15 +337,15 @@ def _sweep_config(cfg: dict) -> SweepConfig:
                          "apply to `pinnbound bound` only; the sweep uses sqrt C_z of its "
                          "population")
     return SweepConfig(
-        n_r_values=tuple(int(n) for n in cfg["sweep"]["n_r_values"]),
-        n_0=int(cfg["sampling"]["n_0"]),
-        width=int(cfg["dims"]["p"]),
+        n_r_values=tuple(cfg["sweep"]["n_r_values"]),
+        n_0=cfg["sampling"]["n_0"],
+        width=cfg["dims"]["p"],
         activation=spec,
         loss=_loss(cfg),
         train=_train_cfg(cfg),
         box=_box(cfg),
-        seed=_seed(cfg),
-        population_factor=int(cfg["sweep"]["population_factor"]),
+        seed=cfg["seed"],
+        population_factor=cfg["sweep"]["population_factor"],
         sigma_constants=sc,
     )
 
@@ -438,6 +435,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        _check_counts(cfg)
         out_dir = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, out_dir)

@@ -130,6 +130,33 @@ def test_exact_constants_closed_forms():
     assert enr.L_sigma2 == pytest.approx(6.0, abs=1e-12)
 
 
+# exact_constants as the Horner-rule evaluator computed them, as float.hex
+# in SigmaConstants field order (L_sigma, L_sigma1, L_sigma2, B_sigma,
+# B_sigma1, c0, c1, c2).
+_PINNED_CONSTANTS = {
+    ("tanh", 2): ("0x1.8a2345cc04426p-1", "0x1.0000000000000p+1", "0x1.057f25e89d21cp+2",
+                  "0x1.0000000000000p+0", "0x1.8a2345cc04426p-1", "0x0.0p+0", "0x0.0p+0",
+                  "0x1.0000000000000p+1"),
+    ("sigmoid", 2): ("0x1.2f684bda12f68p-2", "0x1.3b830f42b7c0bp-3", "0x1.9dbe3d4b4fce0p-3",
+                     "0x1.0000000000000p+0", "0x1.2f684bda12f68p-2", "0x1.0000000000000p-2",
+                     "0x1.0000000000000p-2", "0x1.0000000000000p-3"),
+    ("sigmoid", 6): ("0x1.5c131e0dd9d77p-2", "0x1.e2140fc49032ap-3", "0x1.4575c89ec5acap-2",
+                     "0x1.0000000000000p+0", "0x1.5c131e0dd9d77p-2", "0x1.0000000000000p-6",
+                     "0x1.8000000000000p-5", "0x1.e000000000000p-4"),
+    ("expnegrelu", 3): ("0x1.913592657b139p-1", "0x1.02534d97cbe5ap+0", "0x1.8000000000000p+2",
+                        "0x1.5820d2cce6514p+0", "0x1.913592657b139p-1", "0x0.0p+0", "0x0.0p+0",
+                        "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("name, k", list(_PINNED_CONSTANTS))
+def test_exact_constants_pinned(name, k):
+    sc = exact_constants(ActivationSpec.from_name(name, k))
+    got = [float(v) for v in vars(sc).values()]
+    pinned = [float.fromhex(h) for h in _PINNED_CONSTANTS[name, k]]
+    assert got == pytest.approx(pinned, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_tanh_tables_dominate_exact_constants(k):
     spec = ActivationSpec.from_name("tanh", k)

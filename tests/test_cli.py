@@ -280,3 +280,24 @@ def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment,
     assert run(SWEEP_FAST + sets + ["--out", str(out), command]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ("training.epochs=2.5", "train"),
+    ("training.log_every=1.5", "train"),
+    ("dims.p=4.5", "train"),
+    ("sampling.n_r=8.9", "train"),
+    ("sampling.n_0=true", "train"),
+    ("verify.n_points=2.5", "verify"),
+    ("sweep.n_r_values=[5,10.5,20]", "sweep"),
+    ("sweep.n_r_values=20", "sweep"),
+    ("sweep.population_factor=10.0", "sweep"),
+    ("dims=3", "train"),
+])
+def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, assignment,
+                                                            command):
+    out = tmp_path / "bad"
+    assert run(SWEEP_FAST + ["--set", assignment, "--out", str(out), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.out == ""
+    assert not out.exists()

@@ -19,6 +19,7 @@ from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights,
                        TaylorGreenParams, eval_derivs, field_eval, fields, grad_risk,
                        init_weights, initial_targets, load_checkpoint, risk_breakdown,
                        save_checkpoint, taylor_green_field, taylor_green_initial)
+from pinnbound.activations import _BLOCK
 
 from conftest import FAMILIES
 
@@ -78,6 +79,22 @@ def test_eval_derivs_matches_power_sums(spec, x):
         # Subnormal terms (x near 0 for expnegrelu) carry no relative
         # precision, so errors below the smallest normal float are allowed.
         assert np.all(np.abs(g - ref) <= 1e-12 * scale + np.finfo(float).tiny), n
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family.value}^{s.k}")
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_eval_derivs_across_blocks(spec, size):
+    # eval_derivs works in blocks of _BLOCK points; the property test
+    # above never draws enough points to cross one.
+    draw = np.random.default_rng(size).uniform(-30.0, 30.0, 3 * size)
+    draw[:3] = 0.0, -0.0, -30.0
+    for x in (draw[:size], draw.reshape(3, size).T):  # 1-d, and a 2-d strided view
+        values, scales = power_sum_stack(spec, x)
+        for n, (g, ref, scale) in enumerate(zip(eval_derivs(spec, x), values, scales)):
+            assert g.dtype == np.float64 and g.shape == x.shape, n
+            assert np.all(np.abs(g - ref) <= 1e-12 * scale + np.finfo(float).tiny), n
+            if spec.family.value == "expnegrelu":
+                assert np.all(g[x <= 0] == 0.0), n
 
 
 @PROPERTY
