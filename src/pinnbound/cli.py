@@ -102,6 +102,16 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _check_keys(cfg: dict) -> None:
+    """Every key, at the top level and in each section, is one of DEFAULT_CONFIG's."""
+    unknown = [key for key in cfg if key not in DEFAULT_CONFIG]
+    unknown += [f"{key}.{sub}" for key, sec in cfg.items()
+                if isinstance(sec, dict) and isinstance(DEFAULT_CONFIG.get(key), dict)
+                for sub in sec if sub not in DEFAULT_CONFIG[key]]
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+
+
 # The single counts; every `verify` entry and sweep.n_r_values entry is one too.
 _COUNTS = ("dims.d", "dims.p", "sampling.n_r", "sampling.n_0", "training.epochs",
            "training.log_every", "bound.moment_sample", "sweep.population_factor")
@@ -435,6 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        _check_keys(cfg)
         _check_counts(cfg)
         out_dir = Path(args.out)
         if args.command == "train":

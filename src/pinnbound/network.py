@@ -90,10 +90,12 @@ def fields(weights: PinnWeights, spec: ActivationSpec, Z,
     if not derivatives:
         return FieldEval(u, p_val, None, None, None, None, None), stack
     Wx = W[:, :d]
-    jac = (s1[:, None, :] * A1) @ Wx
-    fe = FieldEval(u=u, p_val=p_val, du_dt=(s1 * W[:, d]) @ A1.T,
-                   jac_u=jac, grad_p=(s1 * a2) @ Wx,
-                   lap_u=(s2 * np.sum(Wx * Wx, axis=1)) @ A1.T,
+    # sigma' times per-unit heads: [du_dt | grad_p | jac_u], jac_u[k, m] at 2d + k*d + m
+    first = s1 @ np.hstack([W[:, d:] * A1.T, a2[:, None] * Wx,
+                            (A1.T[:, :, None] * Wx[:, None, :]).reshape(-1, d * d)])
+    jac = first[:, 2 * d:].reshape(-1, d, d)
+    fe = FieldEval(u=u, p_val=p_val, du_dt=first[:, :d], jac_u=jac, grad_p=first[:, d:2 * d],
+                   lap_u=s2 @ (np.sum(Wx * Wx, axis=1)[:, None] * A1.T),
                    div_u=jac.trace(axis1=1, axis2=2))
     return fe, stack
 

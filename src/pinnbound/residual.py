@@ -13,6 +13,7 @@ which is exact and therefore invariant under permutation of the points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ class CollocationSet:
     def n_initial(self) -> int:
         return len(self.initial)
 
-    @property
+    @functools.cached_property
     def initial_spacetime(self) -> np.ndarray:
         """The initial points as space-time points (x, 0), (N_0, d+1)."""
         return np.hstack([self.initial, np.zeros((self.n_initial, 1))])
@@ -84,8 +85,9 @@ def huber(delta: float, x):
     """Quadratic for |x| <= delta, linear beyond; delta-Lipschitz."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    x = np.abs(x)
-    return np.where(x <= delta, 0.5 * x * x, delta * (x - 0.5 * delta))
+    a = np.abs(x)
+    c = np.minimum(a, delta)  # a where quadratic, delta where linear
+    return c * (a - 0.5 * c)
 
 
 def huber_grad(delta: float, x):

@@ -64,49 +64,54 @@ def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     return RiskBreakdown.average(*interior_losses(fe, cfg), initial)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products of the columns of a (i, N) and b (j, N), as a row-major (i*j, N)."""
+    return np.multiply(a[:, None, :], b, order="C").reshape(-1, a.shape[-1])
+
+
 def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
               colloc: CollocationSet, F0: np.ndarray) -> np.ndarray:
     """Exact gradient of the empirical risk with respect to W, for the
-    target table F0 of `risk_breakdown`.
-
-    At Huber kink points the two branch derivatives coincide, so the
-    clipped derivative is used without ambiguity.
+    target table F0 of `risk_breakdown`.  Each term of dR/dW[q, j] is
+    sigma^(l)(W_q . z) times a product of per-point vectors (the clipped
+    Huber slopes g and gd, t1 = g . grad u, (u, 1), z) times a coefficient
+    of unit q, so each level l first sums over the points, in one product
+    F_l @ s_l.  At Huber kinks both branch slopes agree.
     """
     W, A1, a2 = weights.W, weights.A1, weights.a2
-    d = weights.d
-    Z = colloc.interior
-    fe, (_, s1, s2, s3) = fields(weights, spec, Z)
-    u, jac = fe.u, fe.jac_u
-    w_t, Wx = W[:, d], W[:, :d]
-    rowsq = np.sum(Wx * Wx, axis=1)
-    g = huber_grad(cfg.delta, momentum_residual(fe, cfg.nu))  # (N, d)
-    gd = cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)        # (N,)
+    d, p = weights.d, weights.p
+    fe, (_, s1, s2, s3) = fields(weights, spec, colloc.interior)
+    Wx, z = W[:, :d], colloc.interior.T.copy()
+    # The per-point vectors are rows (r, N), so that their products run along N.
+    g = huber_grad(cfg.delta, momentum_residual(fe, cfg.nu)).T.copy()
+    t1 = np.einsum("kn,nkm->mn", g, fe.jac_u)
+    gd = cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)[None]
+    X = np.vstack([_outer(g, np.vstack([fe.u.T, np.ones_like(gd)])), g, gd])  # g (u, 1), g, gd
 
-    gA = g @ A1                                    # (N, p)
-    t1 = np.einsum("nk,nkm->nm", g, jac)
-    dvec = np.einsum("mq,qm->q", A1, Wx)           # divergence weights per unit
+    def via_A1(P):  # sum_k A1[k, q] P[k*r + j, q] for P of shape (d*r, p)
+        return np.einsum("kq,kjq->qj", A1, P.reshape(d, -1, p))
 
-    # Terms proportional to z_j, collected as alpha[n, q] * Z[n, j].
-    alpha = (gA * w_t * s2
-             + s1 * (t1 @ A1)
-             + s2 * gA * (u @ Wx.T)
-             + s2 * a2 * (g @ Wx.T)
-             - cfg.nu * s3 * gA * rowsq
-             + gd[:, None] * s2 * dvec)
-    G = alpha.T @ Z
-
-    # Column-specific terms (explicit W entries inside the closed forms).
-    G[:, d] += np.sum(gA * s1, axis=0)
-    G[:, :d] += (s1 * gA).T @ u
-    G[:, :d] += (s1.T @ g) * a2[:, None]
-    G[:, :d] += -2.0 * cfg.nu * np.sum(gA * s2, axis=0)[:, None] * Wx
-    G[:, :d] += np.sum(gd[:, None] * s1, axis=0)[:, None] * A1.T
+    # sigma': u in (u . grad) u through W_q . z (t1 z); the explicit W entries
+    # of du/dt and grad u (g (u, 1)), of grad p (a2 g) and of div u (A1 gd).
+    nz = d * (d + 1)
+    P1 = np.vstack([X[:nz] + _outer(t1, z), X[nz:]]) @ s1
+    G = via_A1(P1[:nz])
+    G[:, :d] += (a2 * P1[nz:-1] + P1[-1] * A1).T
+    # sigma'': du/dt and grad u through W_q . z (A1 times a row of W), grad p
+    # (a2 Wx) and div u (the divergence weights) likewise; the W entries of
+    # the Laplacian's row norms (-2 nu A1 g Wx).
+    P2 = np.vstack([_outer(X, z), g]) @ s2
+    coef = np.vstack([(A1[:, None, :] * W.T).reshape(nz, p), a2 * Wx.T,
+                      np.einsum("kq,qk->q", A1, Wx)])
+    G += np.einsum("iq,ijq->qj", coef, P2[:-d].reshape(-1, d + 1, p))
+    G[:, :d] -= 2.0 * cfg.nu * via_A1(P2[-d:]) * Wx
+    # sigma''': the Laplacian through W_q . z (-nu A1 g |Wx_q|^2 z).
+    G -= cfg.nu * np.sum(Wx * Wx, axis=1)[:, None] * via_A1(_outer(g, z) @ s3)
     G /= colloc.n_interior
-
-    Z0 = colloc.initial_spacetime
-    fe0, (_, s1_0, _, _) = fields(weights, spec, Z0, derivatives=False)
+    # t = 0, sigma': u through W_q . z, where z = (x, 0) has no time entry.
+    fe0, (_, s1_0, _, _) = fields(weights, spec, colloc.initial_spacetime, derivatives=False)
     g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
-    G += ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
+    G[:, :d] += via_A1(_outer(g0.T, colloc.initial.T) @ s1_0) / colloc.n_initial
     return G
 
 

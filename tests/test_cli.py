@@ -301,3 +301,18 @@ def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, as
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, command, key", [
+    ("sampling.nr=10", "train", "sampling.nr"),        # a typo for sampling.n_r
+    ("bogus_section.x=1", "train", "bogus_section"),
+    ("verify.bogus=3", "verify", "verify.bogus"),
+])
+def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, assignment,
+                                                             command, key):
+    out = tmp_path / "bad"
+    assert run(TINY + ["--set", assignment, "--out", str(out), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.out == ""
+    assert key in captured.err
+    assert not out.exists()

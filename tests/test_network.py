@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pinnbound import (ActivationSpec, PinnWeights, eval_derivs, field_eval,
+from pinnbound import (ActivationSpec, PinnWeights, eval_derivs, field_eval, fields,
                        init_weights, load_checkpoint, save_checkpoint)
 
 from conftest import FAMILIES
@@ -66,6 +68,24 @@ def test_field_eval_matches_finite_differences(spec, rng):
         assert np.allclose(fe.grad_p, grad_p, rtol=1e-6, atol=1e-7)
         assert np.allclose(fe.lap_u, lap, rtol=1e-4, atol=1e-4)
         assert abs(fe.div_u - np.trace(fe.jac_u)) == 0.0
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family.value}^{s.k}")
+def test_fields_peak_memory(spec):
+    # The stack returned (4 N p floats) and the pre-activations it is built
+    # from (N p) set the floor; an (N, d, p) temporary would add d N p more.
+    n, p, d = 5000, 64, 2
+    weights = init_weights(d, p, seed=0)
+    Z = np.random.default_rng(0).uniform(0.0, 1.0, (n, d + 1))
+    fields(weights, spec, Z[:3])  # build the cached coefficients outside the trace
+    tracemalloc.start()
+    try:
+        result = fields(weights, spec, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[0].jac_u.shape == (n, d, d)
+    assert peak < 5.5 * n * p * 8
 
 
 def test_init_weights_deterministic_and_scaled():

@@ -17,8 +17,9 @@ from numpy.polynomial import polynomial as P
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights,
                        TaylorGreenParams, eval_derivs, field_eval, fields, grad_risk,
-                       init_weights, initial_targets, load_checkpoint, risk_breakdown,
-                       save_checkpoint, taylor_green_field, taylor_green_initial)
+                       huber_grad, init_weights, initial_targets, load_checkpoint,
+                       momentum_residual, risk_breakdown, save_checkpoint,
+                       taylor_green_field, taylor_green_initial)
 from pinnbound.activations import _BLOCK
 
 from conftest import FAMILIES
@@ -102,9 +103,16 @@ def test_eval_derivs_across_blocks(spec, size):
 def test_fields_jacobian_matches_einsum(d, p, spec, seed, n):
     weights = init_weights(d, p, seed=seed)
     Z = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, d + 1))
-    s1 = eval_derivs(spec, Z @ weights.W.T)[1]
-    ref = np.einsum("nq,kq,qm->nkm", s1, weights.A1, weights.W[:, :d])
-    np.testing.assert_allclose(fields(weights, spec, Z)[0].jac_u, ref, rtol=1e-13, atol=1e-13)
+    _, s1, s2, _ = eval_derivs(spec, Z @ weights.W.T)
+    W, A1, a2 = weights.W, weights.A1, weights.a2
+    Wx = W[:, :d]
+    fe = fields(weights, spec, Z)[0]
+    refs = {"jac_u": np.einsum("nq,kq,qm->nkm", s1, A1, Wx),
+            "du_dt": np.einsum("nq,kq,q->nk", s1, A1, W[:, d]),
+            "grad_p": np.einsum("nq,q,qm->nm", s1, a2, Wx),
+            "lap_u": np.einsum("nq,kq,qm,qm->nk", s2, A1, Wx, Wx)}
+    for name, ref in refs.items():
+        np.testing.assert_allclose(getattr(fe, name), ref, rtol=1e-13, atol=1e-13, err_msg=name)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family.value}^{s.k}")
@@ -215,6 +223,58 @@ def test_grad_risk_matches_finite_differences(d, p, spec, seed, delta, lambda0,
     F /= 2 * h
     scale = max(float(np.max(np.abs(F))), 1e-6)
     assert float(np.max(np.abs(G - F))) / scale < 1e-5
+
+
+def reference_grad_risk(weights, spec, cfg, colloc, F0):
+    """dR/dW term by term over (N, p) arrays: the terms proportional to
+    z_j, collected as alpha[n, q] * Z[n, j], then the terms of the
+    explicit W entries inside the closed forms, then the t = 0 term."""
+    W, A1, a2 = weights.W, weights.A1, weights.a2
+    d = weights.d
+    Z = colloc.interior
+    fe, (_, s1, s2, s3) = fields(weights, spec, Z)
+    u, jac = fe.u, fe.jac_u
+    w_t, Wx = W[:, d], W[:, :d]
+    rowsq = np.sum(Wx * Wx, axis=1)
+    g = huber_grad(cfg.delta, momentum_residual(fe, cfg.nu))  # (N, d)
+    gd = cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)        # (N,)
+    gA = g @ A1                                    # (N, p)
+    t1 = np.einsum("nk,nkm->nm", g, jac)
+    dvec = np.einsum("mq,qm->q", A1, Wx)           # divergence weights per unit
+    alpha = (gA * w_t * s2
+             + s1 * (t1 @ A1)
+             + s2 * gA * (u @ Wx.T)
+             + s2 * a2 * (g @ Wx.T)
+             - cfg.nu * s3 * gA * rowsq
+             + gd[:, None] * s2 * dvec)
+    G = alpha.T @ Z
+    G[:, d] += np.sum(gA * s1, axis=0)
+    G[:, :d] += (s1 * gA).T @ u
+    G[:, :d] += (s1.T @ g) * a2[:, None]
+    G[:, :d] += -2.0 * cfg.nu * np.sum(gA * s2, axis=0)[:, None] * Wx
+    G[:, :d] += np.sum(gd[:, None] * s1, axis=0)[:, None] * A1.T
+    G /= colloc.n_interior
+    Z0 = colloc.initial_spacetime
+    fe0, (_, s1_0, _, _) = fields(weights, spec, Z0, derivatives=False)
+    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
+    return G + ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(d=dims, p=st.integers(1, 12), spec=families, seed=seeds,
+       n_r=st.integers(1, 30), n_0=st.integers(1, 30),
+       delta=st.floats(0.05, 3.0), lambda0=st.floats(0.0, 2.0),
+       lambda1=st.floats(0.0, 1.0), nu=st.floats(0.001, 0.5))
+def test_grad_risk_matches_term_by_term_reference(d, p, spec, seed, n_r, n_0, delta,
+                                                  lambda0, lambda1, nu):
+    weights = init_weights(d, p, seed=seed)
+    colloc = colloc_for(seed + 1, d, n_r, n_0)
+    cfg = LossConfig(delta=delta, lambda0=lambda0, lambda1=lambda1, nu=nu)
+    F0 = initial_targets(f0_sin, colloc.initial)
+    G = grad_risk(weights, spec, cfg, colloc, F0)
+    ref = reference_grad_risk(weights, spec, cfg, colloc, F0)
+    assert G.shape == ref.shape == (p, d + 1)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @PROPERTY

@@ -27,6 +27,24 @@ def test_huber_values():
     assert np.array_equal(huber(1.0, np.array([-2.0, 2.0])), np.array([1.5, 1.5]))
 
 
+def huber_two_branches(delta, x):
+    """The Huber loss written as its two branches."""
+    x = np.abs(x)
+    return np.where(x <= delta, 0.5 * x * x, delta * (x - 0.5 * delta))
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3, 2.5, 1e-3])
+def test_huber_bit_identical_to_two_branches(delta):
+    special = [0.0, -0.0, delta, -delta, np.nextafter(delta, 0.0), np.nextafter(delta, np.inf),
+               -np.nextafter(delta, np.inf), 5e-324, -5e-324, 1e-300, 1e308, -1e308,
+               np.inf, -np.inf, np.nan, -np.nan]
+    x = np.concatenate([np.random.default_rng(7).standard_normal(200_000) * 3 * delta, special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = huber(delta, x), huber_two_branches(delta, x)
+    # Compared as bit patterns, so the signs of zeros and the NaNs count too.
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_huber_grad_matches_finite_difference(rng):
     xs = rng.uniform(-3, 3, 200)
     h = 1e-7
@@ -125,3 +143,11 @@ def test_config_validation():
     bad[0, 0] = math.inf
     with pytest.raises(ValueError):
         CollocationSet(interior=bad, initial=np.zeros((1, 2)))
+
+
+def test_initial_spacetime_built_once():
+    initial = np.random.default_rng(3).uniform(0, 1, (5, 2))
+    colloc = CollocationSet(interior=np.zeros((2, 3)), initial=initial)
+    z0 = colloc.initial_spacetime
+    assert colloc.initial_spacetime is z0
+    assert np.array_equal(z0, np.hstack([initial, np.zeros((5, 1))]))
