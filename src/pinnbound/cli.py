@@ -115,10 +115,12 @@ def _check_keys(cfg: dict) -> None:
 # The single counts; every `verify` entry and sweep.n_r_values entry is one too.
 _COUNTS = ("dims.d", "dims.p", "sampling.n_r", "sampling.n_0", "training.epochs",
            "training.log_every", "bound.moment_sample", "sweep.population_factor")
+_MC_COUNTS = ("verify.sym_trials", "verify.n_draws")   # a standard error needs two draws
 
 
 def _check_counts(cfg: dict) -> None:
-    """Every count is an integer >= 1, the seed one >= 0: checked once, up front."""
+    """Every count is an integer >= 1 (>= 2 for a Monte-Carlo sample size),
+    the seed one >= 0: checked once, up front."""
     try:
         counts = [(name, cfg[sec].get(key)) for name in _COUNTS for sec, key in [name.split(".")]]
         counts += [(f"verify.{key}", n) for key, n in cfg["verify"].items()]
@@ -126,8 +128,9 @@ def _check_counts(cfg: dict) -> None:
     except (AttributeError, TypeError) as exc:
         raise UsageError(f"a config section holds a value, or sweep.n_r_values is no list: {exc}")
     for name, n in counts:
-        if type(n) is not int or n < 1:
-            raise UsageError(f"{name} must be an integer >= 1, got {n!r}")
+        least = 2 if name in _MC_COUNTS else 1
+        if type(n) is not int or n < least:
+            raise UsageError(f"{name} must be an integer >= {least}, got {n!r}")
     if type(cfg["seed"]) is not int or cfg["seed"] < 0:
         raise UsageError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
 
@@ -298,7 +301,7 @@ def _verify_reports(cfg: dict):
             grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,
             L_phi1=1.0, L_phi2=1.0, k=0.0, n_draws=n_draws, seed=seed + i))
 
-        est_enum = verify.rademacher_linear(Z, B=grid.B, seed=seed + i)
+        est_enum = verify.rademacher_linear(Z, B=grid.B, n_draws=n_draws, seed=seed + i)
         lin_bound = grid.B * np.sqrt(np.sum(Z * Z)) / n_points
         reports.append(verify.CheckReport(
             name="rademacher_linear_bound", lhs=est_enum.mean, rhs=float(lin_bound),

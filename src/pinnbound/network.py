@@ -10,6 +10,7 @@ evaluated; `field_eval` is its view over points with any leading axes.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ class FieldEval:
     lap_u: np.ndarray    # (d,)
     div_u: float
 
-    def rows(self) -> list["FieldEval"]:
-        """The one-point fields of a field over N points, as row views."""
-        return [FieldEval(*vals) for vals in zip(*vars(self).values())]
+    def rows(self) -> Iterator["FieldEval"]:
+        """The one-point fields of a field over N points, as row views made lazily."""
+        return (FieldEval(*vals) for vals in zip(*vars(self).values()))
 
 
 def fields(weights: PinnWeights, spec: ActivationSpec, Z,

@@ -95,8 +95,10 @@ def _sign_vectors(n: int, n_draws: int, seed: int):
 
 
 def _mc_stats(values: np.ndarray, exact: bool) -> tuple[float, float]:
+    if len(values) < 2:
+        raise ValueError(f"a Monte-Carlo estimate needs at least 2 values, got {len(values)}")
     mean = float(np.mean(values))
-    if exact or len(values) < 2:
+    if exact:
         return mean, 0.0
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
@@ -205,10 +207,12 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     """Monte-Carlo check of the symmetrization step:
     E_S[ sup_h (Rhat(h, S) - R(h)) ] <= 2 R_res + 2 R_0.
 
-    Each hypothesis is a field evaluator, as in `empirical_risk`, called
-    once per point set.  `sampler(rng, n)` must return (interior (n, d+1),
-    initial (n, d)) samples; population risks use one large fixed
-    quadrature sample.  `f0` maps (..., d) spatial points to (..., d) targets.
+    Each hypothesis is a field evaluator, as in `empirical_risk`; the trials
+    are drawn first and scored as one point set, so it is called once on
+    all their interior and once on all their initial points.
+    `sampler(rng, n)` must return (interior (n, d+1), initial (n, d))
+    samples; population risks use one large fixed quadrature sample.  `f0`
+    maps (..., d) spatial points to (..., d) targets.
     """
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
@@ -218,24 +222,31 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, f0).total
                          for h in hypotheses])
 
-    gap_vals = np.empty(n_trials)
-    rad_vals = np.empty(n_trials)
-    for t in range(n_trials):
-        rng = np.random.default_rng((seed, t))
-        trial = CollocationSet(*sampler(rng, n_points))
-        F0 = initial_targets(f0, trial.initial)
-        # Per-point losses on row views: perfbench/test_perfbench.py pins their counts.
-        res_losses = np.array([[loss_res(fe, loss_cfg) for fe in h(trial.interior).rows()]
-                               for h in hypotheses])
-        init_losses = np.array([[loss_init(u, f0_val, loss_cfg)
-                                 for u, f0_val in zip(h(trial.initial_spacetime).u, F0)]
-                                for h in hypotheses])       # (H, n)
-        emp = res_losses.mean(axis=1) + init_losses.mean(axis=1)
-        gap_vals[t] = np.max(emp - pop_risk)
-        eps_r = rng.choice([-1.0, 1.0], n_points)
-        eps_0 = rng.choice([-1.0, 1.0], n_points)
-        rad_vals[t] = (2.0 * np.max(res_losses @ eps_r) / n_points
-                       + 2.0 * np.max(init_losses @ eps_0) / n_points)
+    # Draw every trial first, each from its own generator in the order
+    # sampler, eps_r, eps_0; then score all trials as one point set.  The
+    # per-trial draws are held by generators only, so they go once stacked.
+    rngs = (np.random.default_rng((seed, t)) for t in range(n_trials))
+    draws = ((*sampler(rng, n_points), rng.choice([-1.0, 1.0], n_points),
+              rng.choice([-1.0, 1.0], n_points)) for rng in rngs)
+    interior, initial, eps_r, eps_0 = (np.stack(a) for a in zip(*draws))   # (T, n, ...)
+    S = CollocationSet(interior.reshape(-1, interior.shape[-1]),
+                       initial.reshape(-1, initial.shape[-1]))
+    F0 = initial_targets(f0, S.initial)
+    # The per-point losses run per row because perfbench/test_perfbench.py
+    # pins their counts; np.fromiter keeps no list of their Python floats.
+    m = n_trials * n_points
+    shape = (len(hypotheses), n_trials, n_points)
+    res_losses = np.array([
+        np.fromiter((loss_res(fe, loss_cfg) for fe in h(S.interior).rows()), float, m)
+        for h in hypotheses]).reshape(shape)
+    init_losses = np.array([
+        np.fromiter((loss_init(u, f0_val, loss_cfg)
+                     for u, f0_val in zip(h(S.initial_spacetime).u, F0)), float, m)
+        for h in hypotheses]).reshape(shape)
+    emp = res_losses.mean(axis=2) + init_losses.mean(axis=2)          # (H, T)
+    gap_vals = np.max(emp - pop_risk[:, None], axis=0)
+    rad_vals = (2.0 * np.max(np.einsum("htn,tn->ht", res_losses, eps_r), axis=0) / n_points
+                + 2.0 * np.max(np.einsum("htn,tn->ht", init_losses, eps_0), axis=0) / n_points)
     lhs, _ = _mc_stats(gap_vals, exact=False)
     diff, se = _mc_stats(rad_vals - gap_vals, exact=False)
     rhs = lhs + diff

@@ -182,6 +182,15 @@ def test_verify_writes_reports_and_passes(tmp_path):
             assert check["verdict"] == "PASS"
 
 
+def test_verify_linear_rademacher_samples_the_configured_draws(tmp_path):
+    # 25 points is past the enumeration limit, so the check samples sign vectors.
+    out = tmp_path / "ver"
+    assert run(VERIFY_FAST + ["--set", "verify.n_points=25", "--set", "verify.n_draws=50",
+                              "--out", str(out), "verify"]) == 0
+    doc = json.loads((out / "verify_rademacher_linear_bound.json").read_text())
+    assert [(c["n_draws"], c["exact"]) for c in doc["checks"]] == [(50, False)] * 2
+
+
 SWEEP_FAST = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
               "--set", "dims.p=4", "--set", "training.epochs=15",
               "--set", "training.log_every=5"]
@@ -273,6 +282,8 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("seed=-1", "sweep"),
     ("activation=3", "train"),
     ("activation.k=2.5", "train"),
+    ("verify.sym_trials=1", "verify"),                   # one draw has no standard error
+    ("verify.n_points=25 verify.n_draws=1", "verify"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     out = tmp_path / "bad"

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnbound import (ActivationSpec, CheckReport, ConstraintGrid, LossConfig,
                        check_abs_removal, check_contraction_product,
                        check_contraction_single, check_symmetrization,
                        field_eval, init_weights, rademacher_linear)
 from pinnbound.experiment import TaylorGreenParams, taylor_green_initial
+from pinnbound.residual import (CollocationSet, empirical_risk, initial_targets,
+                                loss_init, loss_res)
+from pinnbound.verify import _mc_stats
 
 
 def test_sign_enumeration_is_exact_and_seedless():
@@ -192,6 +198,82 @@ def test_symmetrization_single_hypothesis_gap_near_zero():
     assert rep.passed
     assert abs(rep.lhs) < 0.2
     assert rep.rhs > 0
+
+
+def reference_symmetrization(hypotheses, loss_cfg, sampler, f0, n_points, n_trials,
+                             seed, population_points):
+    """The symmetrization check written trial by trial, the oracle for the
+    batched form: one point set, one target table and two calls of each
+    hypothesis per trial.  Returns (lhs, rhs, std_error)."""
+    rng_pop = np.random.default_rng((seed, 0xF00D))
+    pop_set = CollocationSet(*sampler(rng_pop, population_points))
+    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, f0).total
+                         for h in hypotheses])
+    gap_vals = np.empty(n_trials)
+    rad_vals = np.empty(n_trials)
+    for t in range(n_trials):
+        rng = np.random.default_rng((seed, t))
+        trial = CollocationSet(*sampler(rng, n_points))
+        F0 = initial_targets(f0, trial.initial)
+        res_losses = np.array([[loss_res(fe, loss_cfg) for fe in h(trial.interior).rows()]
+                               for h in hypotheses])
+        init_losses = np.array([[loss_init(u, f0_val, loss_cfg)
+                                 for u, f0_val in zip(h(trial.initial_spacetime).u, F0)]
+                                for h in hypotheses])
+        emp = res_losses.mean(axis=1) + init_losses.mean(axis=1)
+        gap_vals[t] = np.max(emp - pop_risk)
+        eps_r = rng.choice([-1.0, 1.0], n_points)
+        eps_0 = rng.choice([-1.0, 1.0], n_points)
+        rad_vals[t] = (2.0 * np.max(res_losses @ eps_r) / n_points
+                       + 2.0 * np.max(init_losses @ eps_0) / n_points)
+    lhs = float(np.mean(gap_vals))
+    diff = rad_vals - gap_vals
+    return (lhs, lhs + float(np.mean(diff)),
+            float(np.std(diff, ddof=1) / math.sqrt(n_trials)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n_hyp=st.integers(1, 3), n_points=st.integers(1, 12), n_trials=st.integers(2, 40),
+       seed=st.integers(0, 2**16))
+def test_symmetrization_matches_per_trial_reference(n_hyp, n_points, n_trials, seed):
+    spec = ActivationSpec.from_name("tanh", 3)
+    hyps = make_net_hypotheses(n_hyp, spec, seed=seed)
+    cfg = LossConfig()
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    args = (hyps, cfg, unit_sampler, f0)
+    kw = dict(n_points=n_points, n_trials=n_trials, seed=seed, population_points=50)
+    rep = check_symmetrization(*args, **kw)
+    np.testing.assert_allclose([rep.lhs, rep.rhs, rep.std_error],
+                               reference_symmetrization(*args, **kw), rtol=1e-12, atol=0.0)
+    assert rep.n_draws == n_trials
+
+
+def test_symmetrization_peak_memory():
+    # The CLI defaults: three width-4 tanh^3 nets, 10 points, 300 trials.
+    # Holding all 3000 row views of a field at once would take it past 3 MiB.
+    spec = ActivationSpec.from_name("tanh", 3)
+    hyps = make_net_hypotheses(3, spec, seed=50)
+    cfg = LossConfig()
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    check_symmetrization(hyps, cfg, unit_sampler, f0, n_points=2, n_trials=2,
+                         population_points=10)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        rep = check_symmetrization(hyps, cfg, unit_sampler, f0, n_points=10, n_trials=300,
+                                   seed=0, population_points=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 2.5 * 2**20
+
+
+def test_mc_stats_needs_two_values():
+    with pytest.raises(ValueError):
+        _mc_stats(np.array([1.0]), exact=False)
+    with pytest.raises(ValueError):
+        rademacher_linear(np.ones((25, 2)), B=1.0, n_draws=1)
+    assert _mc_stats(np.array([1.0, 3.0]), exact=False) == (2.0, 1.0)
 
 
 def test_symmetrization_requires_hypotheses():
