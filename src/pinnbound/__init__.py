@@ -14,7 +14,7 @@ from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenP
 from .network import (FieldEval, PinnWeights, field_eval, fields, init_weights,
                       load_checkpoint, save_checkpoint)
 from .residual import (CollocationSet, LossConfig, RiskBreakdown, empirical_risk,
-                       huber, huber_grad, initial_targets, loss_init, loss_res,
+                       huber, huber_grad, initial_losses, initial_targets, loss_init, loss_res,
                        momentum_residual)
 from .training import (OptimState, TrainConfig, adamw_step, grad_risk,
                        risk_breakdown, train)

@@ -15,6 +15,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,10 +23,9 @@ import numpy as np
 
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig,
-                         TaylorGreenParams, moment_constants, sample_initial,
-                         sample_interior, sweep_experiment, sweep_row,
-                         taylor_green_initial)
+from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, TaylorGreenParams,
+                         moment_constants, sample_initial, sample_interior, sweep_experiment,
+                         sweep_row, taylor_green_initial)
 from .network import field_eval, init_weights, load_checkpoint, save_checkpoint
 from .residual import CollocationSet, LossConfig
 from .training import TrainConfig, train
@@ -67,7 +67,6 @@ def _deep_update(base: dict, override: dict) -> dict:
             _deep_update(base[key], val)
         else:
             base[key] = val
-    return base
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
@@ -102,124 +101,125 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict) -> None:
-    """Every key, at the top level and in each section, is one of DEFAULT_CONFIG's."""
-    unknown = [key for key in cfg if key not in DEFAULT_CONFIG]
-    unknown += [f"{key}.{sub}" for key, sec in cfg.items()
-                if isinstance(sec, dict) and isinstance(DEFAULT_CONFIG.get(key), dict)
-                for sub in sec if sub not in DEFAULT_CONFIG[key]]
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+def _count(least: int):
+    return lambda v: type(v) is int and v >= least
 
 
-# The single counts; every `verify` entry and sweep.n_r_values entry is one too.
-_COUNTS = ("dims.d", "dims.p", "sampling.n_r", "sampling.n_0", "training.epochs",
-           "training.log_every", "bound.moment_sample", "sweep.population_factor")
-_MC_COUNTS = ("verify.sym_trials", "verify.n_draws")   # a standard error needs two draws
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
 
 
-def _check_counts(cfg: dict) -> None:
-    """Every count is an integer >= 1 (>= 2 for a Monte-Carlo sample size),
-    the seed one >= 0: checked once, up front."""
+# The value each kind of default asks for: DEFAULT_CONFIG is the schema.
+_KINDS = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_count(1), "an integer >= 1"),
+    float: (_number, "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_count(1), v)), "a list of integers >= 1"),
+}
+# The keys whose values are not of their default's kind.
+_RULES = {
+    "seed": (_count(0), "an integer >= 0"),
+    "verify.sym_trials": (_count(2), "an integer >= 2"),   # a standard error needs two draws
+    "verify.n_draws": (_count(2), "an integer >= 2"),
+    "bound.cz_convention": (lambda v: v in ("sqrt", "literal"), "'sqrt' or 'literal'"),
+    "bound.constants_override": (lambda v: v is None or isinstance(v, dict), "null or a section"),
+    "sampling.w_scale": (lambda v: v is None or _number(v), "null or a finite number"),
+    "sampling.box": (lambda v: isinstance(v, list) or isinstance(v, str) and v in _BOXES,
+                     f"one of {sorted(_BOXES)} or a list of intervals"),
+}
+
+
+def _leaves(cfg: dict) -> dict:
+    """Dot path -> value of every setting; a section is a dict in DEFAULT_CONFIG."""
+    flat = {}
+    for key, val in cfg.items():
+        if not isinstance(DEFAULT_CONFIG.get(key), dict):
+            flat[key] = val
+        elif not isinstance(val, dict):
+            raise UsageError(f"{key} must be a section, got {val!r}")
+        else:
+            flat.update((f"{key}.{sub}", v) for sub, v in val.items())
+    return flat
+
+
+_SCHEMA = _leaves(DEFAULT_CONFIG)
+
+
+def _check_config(cfg: dict) -> None:
+    """`cfg` has the keys of DEFAULT_CONFIG, and every value is of its
+    default's kind or, for the keys in _RULES, as the rule asks."""
+    leaves = _leaves(cfg)
+    for word, paths in (("unknown", leaves.keys() - _SCHEMA.keys()),
+                        ("missing", _SCHEMA.keys() - leaves.keys())):
+        if paths:
+            raise UsageError(f"{word} config keys: {', '.join(sorted(paths))}")
+    for path, val in leaves.items():
+        ok, wants = _RULES.get(path) or _KINDS[type(_SCHEMA[path])]
+        if not ok(val):
+            raise UsageError(f"{path} must be {wants}, got {val!r}")
+
+
+def _settings(cfg: dict) -> SweepConfig:
+    """Every typed setting of a checked config, built once; the library's
+    range checks become usage errors.  The sweep's config holds them all:
+    the activation, loss, training, constants override and box."""
     try:
-        counts = [(name, cfg[sec].get(key)) for name in _COUNTS for sec, key in [name.split(".")]]
-        counts += [(f"verify.{key}", n) for key, n in cfg["verify"].items()]
-        counts += [("sweep.n_r_values", n) for n in cfg["sweep"]["n_r_values"]]
-    except (AttributeError, TypeError) as exc:
-        raise UsageError(f"a config section holds a value, or sweep.n_r_values is no list: {exc}")
-    for name, n in counts:
-        least = 2 if name in _MC_COUNTS else 1
-        if type(n) is not int or n < least:
-            raise UsageError(f"{name} must be an integer >= {least}, got {n!r}")
-    if type(cfg["seed"]) is not int or cfg["seed"] < 0:
-        raise UsageError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
-
-
-def _activation(cfg: dict) -> ActivationSpec:
-    act = cfg["activation"]
-    if not isinstance(act, dict) or type(act.get("k")) is not int:
-        raise UsageError(f"activation must be a section with a family and an integer k, "
-                         f"got {act!r}")
-    try:
-        return ActivationSpec.from_name(act.get("family"), act["k"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _loss(cfg: dict) -> LossConfig:
-    try:
-        return LossConfig(**cfg["loss"])
+        name, d = cfg["sampling"]["box"], cfg["dims"]["d"]
+        box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
+        lo_hi = np.asarray(box, dtype=float)   # a ragged box raises ValueError
+        if (lo_hi.shape != (d + 1, 2)
+                or not np.all(np.isfinite(lo_hi) & (lo_hi[:, :1] < lo_hi[:, 1:]))):
+            raise ValueError(f"sampling.box must be d + 1 = {d + 1} finite increasing "
+                             f"intervals, got {name!r}")
+        override = cfg["bound"]["constants_override"]
+        return SweepConfig(
+            n_r_values=tuple(cfg["sweep"]["n_r_values"]), n_0=cfg["sampling"]["n_0"],
+            width=cfg["dims"]["p"], box=box, seed=cfg["seed"],
+            activation=ActivationSpec.from_name(cfg["activation"]["family"],
+                                                cfg["activation"]["k"]),
+            loss=LossConfig(**cfg["loss"]), train=TrainConfig(**cfg["training"]),
+            population_factor=cfg["sweep"]["population_factor"],
+            sigma_constants=SigmaConstants(**override) if override else None)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad loss config: {exc}")
+        raise UsageError(f"bad config: {exc}")
 
 
-def _train_cfg(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**cfg["training"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad training config: {exc}")
-
-
-def _sigma_constants(cfg: dict, spec: ActivationSpec) -> SigmaConstants:
-    """Activation constants; also checks the `bound` section before any work."""
-    bound = cfg["bound"]
-    if (bound.get("cz_convention") not in ("sqrt", "literal")
-            or not isinstance(bound.get("proof_variant"), bool)):
-        raise UsageError("bound needs cz_convention 'sqrt' or 'literal' and proof_variant "
-                         f"true or false, got {bound!r}")
-    override = bound.get("constants_override")
-    if not override:
-        return constants(spec)
-    try:
-        return SigmaConstants(**override)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad constants_override: {exc}")
-
-
-def _box(cfg: dict) -> tuple:
-    name = cfg["sampling"]["box"]
-    if isinstance(name, str):
-        if name not in _BOXES:
-            raise UsageError(f"unknown box preset {name!r}")
-        return _BOXES[name]
-    return tuple(tuple(pair) for pair in name)
+def _reject_ignored(cfg: dict, command: str) -> None:
+    """Reject the settings that `command` ignores: train and sweep solve the
+    2-dimensional vortex, and the sweep takes sqrt C_z of its population and
+    the default W scale."""
+    if command in ("train", "sweep") and cfg["dims"]["d"] != 2:
+        raise UsageError("dims.d must be 2: the Taylor-Green initial condition is 2-dimensional")
+    changed = [path for path, val in _leaves(cfg).items() if val != _SCHEMA[path] and path in (
+        "bound.cz_convention", "bound.proof_variant", "bound.moment_sample", "sampling.w_scale")]
+    if command == "sweep" and changed:
+        raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
+                         "`pinnbound bound` or `train` only")
 
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg
-    payload["version"] = __version__
+    payload = {**payload, "config": cfg, "version": __version__}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def cmd_train(cfg: dict, out_dir: Path) -> int:
-    spec = _activation(cfg)
-    loss_cfg = _loss(cfg)
-    tc = _train_cfg(cfg)
+def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
+    box, seed = np.asarray(s.box, dtype=float), cfg["seed"]
+    colloc = CollocationSet(interior=sample_interior(cfg["sampling"]["n_r"], box, seed),
+                            initial=sample_initial(cfg["sampling"]["n_0"], box[:-1], seed + 1))
+    f0 = taylor_green_initial(TaylorGreenParams(nu=s.loss.nu, domain=s.box))
+    weights0 = init_weights(cfg["dims"]["d"], cfg["dims"]["p"], seed + 2,
+                            w_scale=cfg["sampling"]["w_scale"])
     try:
-        box = np.asarray(_box(cfg), dtype=float)
-        d, p, seed = cfg["dims"]["d"], cfg["dims"]["p"], cfg["seed"]
-        n_r, n_0 = cfg["sampling"]["n_r"], cfg["sampling"]["n_0"]
-        if len(box) != d + 1:
-            raise UsageError(f"box has {len(box)} axes but d+1 = {d + 1}")
-        if d != 2:
-            raise UsageError("the benchmark initial condition is 2-dimensional")
-        colloc = CollocationSet(interior=sample_interior(n_r, box, seed),
-                                initial=sample_initial(n_0, box[:-1], seed + 1))
-        f0 = taylor_green_initial(TaylorGreenParams(nu=loss_cfg.nu, domain=_box(cfg)))
-        weights0 = init_weights(d, p, seed + 2, w_scale=cfg["sampling"]["w_scale"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad train config: {exc}")
-    try:
-        weights, history = train(weights0, spec, loss_cfg, colloc, f0, tc)
+        weights, history = train(weights0, s.activation, s.loss, colloc, f0, s.train)
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(weights, spec, out_dir / "checkpoint.json")
+    save_checkpoint(weights, s.activation, out_dir / "checkpoint.json")
     with open(out_dir / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "momentum_term", "divergence_term",
@@ -228,8 +228,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
             writer.writerow([epoch, repr(rb.momentum_term), repr(rb.divergence_term),
                              repr(rb.initial_term), repr(rb.total)])
     _write_json(out_dir / "train_run.json",
-                {"final_risk": history[-1][1].total, "epochs": tc.epochs}, cfg)
-    print(f"trained {tc.epochs} epochs; final risk {history[-1][1].total:.6g}; "
+                {"final_risk": history[-1][1].total, "epochs": s.train.epochs}, cfg)
+    print(f"trained {s.train.epochs} epochs; final risk {history[-1][1].total:.6g}; "
           f"artifacts in {out_dir}")
     return 0
 
@@ -245,16 +245,17 @@ def _moment_constants_for(cfg: dict, box) -> tuple[float, float]:
     return C_z, C_z0
 
 
-def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
+def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
     try:
         weights, spec = load_checkpoint(checkpoint)
     except (OSError, ValueError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 1
-    loss_cfg = _loss(cfg)
-    sc = _sigma_constants(cfg, spec)
-    C_z, C_z0 = _moment_constants_for(cfg, _box(cfg))
-    report = bounds.generalization_bound(bounds.weight_stats(weights), sc, loss_cfg,
+    if len(s.box) != weights.d + 1:
+        raise UsageError(f"the checkpoint needs a sampling.box of d + 1 = {weights.d + 1} axes")
+    C_z, C_z0 = _moment_constants_for(cfg, s.box)
+    report = bounds.generalization_bound(bounds.weight_stats(weights),
+                                         s.sigma_constants or constants(spec), s.loss,
                                          cfg["sampling"]["n_r"], cfg["sampling"]["n_0"], C_z, C_z0,
                                          proof_variant=cfg["bound"]["proof_variant"])
     doc = report.to_dict()
@@ -270,13 +271,10 @@ def cmd_bound(cfg: dict, out_dir: Path, checkpoint: str) -> int:
     return 0
 
 
-def _verify_reports(cfg: dict):
-    v = cfg["verify"]
-    spec = _activation(cfg)
-    loss_cfg = _loss(cfg)
-    seed = cfg["seed"]
-    n_points = v["n_points"]
-    n_draws = v["n_draws"]
+def _verify_reports(cfg: dict, s: SweepConfig | None = None):
+    s = s or _settings(cfg)
+    spec, loss_cfg, v, seed = s.activation, s.loss, cfg["verify"], cfg["seed"]
+    n_points, n_draws = v["n_points"], v["n_draws"]
     reports = []
     rng = np.random.default_rng(seed)
 
@@ -324,8 +322,8 @@ def _verify_reports(cfg: dict):
     return reports
 
 
-def cmd_verify(cfg: dict, out_dir: Path) -> int:
-    reports = _verify_reports(cfg)
+def cmd_verify(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
+    reports = _verify_reports(cfg, s)
     by_name: dict[str, list] = {}
     for rep in reports:
         by_name.setdefault(rep.name, []).append(rep.to_dict())
@@ -338,29 +336,6 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
                     {"checks": reps, "all_pass": passed}, cfg)
         print(f"{name}: {sum(r['verdict'] == 'PASS' for r in reps)}/{len(reps)} PASS")
     return 0 if all_pass else 3
-
-
-def _sweep_config(cfg: dict) -> SweepConfig:
-    spec = _activation(cfg)
-    sc = _sigma_constants(cfg, spec)
-    bound = cfg["bound"]
-    if (bound["cz_convention"] != "sqrt" or bound["proof_variant"]
-            or bound["moment_sample"] != DEFAULT_CONFIG["bound"]["moment_sample"]):
-        raise UsageError("bound.cz_convention, bound.proof_variant and bound.moment_sample "
-                         "apply to `pinnbound bound` only; the sweep uses sqrt C_z of its "
-                         "population")
-    return SweepConfig(
-        n_r_values=tuple(cfg["sweep"]["n_r_values"]),
-        n_0=cfg["sampling"]["n_0"],
-        width=cfg["dims"]["p"],
-        activation=spec,
-        loss=_loss(cfg),
-        train=_train_cfg(cfg),
-        box=_box(cfg),
-        seed=cfg["seed"],
-        population_factor=cfg["sweep"]["population_factor"],
-        sigma_constants=sc,
-    )
 
 
 _SWEEP_COLUMNS = ["N_r", "N_0", "activation", "nu", "delta", "lambda0", "lambda1",
@@ -397,13 +372,9 @@ def _cached_sweep_row(cfg: dict, out_dir: Path):
     return row
 
 
-def cmd_sweep(cfg: dict, out_dir: Path) -> int:
-    try:
-        sweep_cfg = _sweep_config(cfg)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad sweep config: {exc}")
+def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = sweep_experiment(sweep_cfg, _cached_sweep_row(cfg, out_dir))
+    report = sweep_experiment(s, _cached_sweep_row(cfg, out_dir))
     for fail in report.failed_rows:
         print(f"N_r={fail['N_r']}: training diverged ({fail['error']})", file=sys.stderr)
     doc = report.to_dict()
@@ -436,30 +407,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="train a network; writes checkpoint + history CSV")
-    p_bound = sub.add_parser("bound", help="evaluate the bound for a checkpoint")
-    p_bound.add_argument("checkpoint")
+    sub.add_parser("bound", help="evaluate the bound for a checkpoint").add_argument("checkpoint")
     sub.add_parser("verify", help="run the inequality check suite")
     sub.add_parser("sweep", help="run the bound-vs-gap correlation sweep")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        _check_keys(cfg)
-        _check_counts(cfg)
+        _check_config(cfg)
+        _reject_ignored(cfg, args.command)
+        s = _settings(cfg)
         out_dir = Path(args.out)
         if args.command == "train":
-            return cmd_train(cfg, out_dir)
+            return cmd_train(cfg, s, out_dir)
         if args.command == "bound":
-            return cmd_bound(cfg, out_dir, args.checkpoint)
+            return cmd_bound(cfg, s, out_dir, args.checkpoint)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
-        raise UsageError(f"unknown command {args.command}")
+            return cmd_verify(cfg, s, out_dir)
+        return cmd_sweep(cfg, s, out_dir)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

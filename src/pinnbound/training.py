@@ -19,8 +19,8 @@ import numpy as np
 
 from .activations import ActivationSpec, eval_derivs  # noqa: F401  (perfbench traces it here)
 from .network import PinnWeights, fields
-from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber, huber_grad,
-                       initial_targets, interior_losses, momentum_residual)
+from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber_grad,
+                       initial_losses, initial_targets, interior_losses, momentum_residual)
 
 
 @dataclass
@@ -60,8 +60,7 @@ def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`."""
     fe = fields(weights, spec, colloc.interior)[0]
     u0 = fields(weights, spec, colloc.initial_spacetime, derivatives=False)[0].u
-    initial = cfg.lambda1 * np.sum(huber(cfg.delta, u0 - F0), axis=1)
-    return RiskBreakdown.average(*interior_losses(fe, cfg), initial)
+    return RiskBreakdown.average(*interior_losses(fe, cfg), initial_losses(u0, F0, cfg))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

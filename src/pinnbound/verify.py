@@ -219,7 +219,8 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     rng_pop = np.random.default_rng((seed, 0xF00D))
     pop_int, pop_init = sampler(rng_pop, population_points)
     pop_set = CollocationSet(interior=pop_int, initial=pop_init)
-    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, f0).total
+    pop_F0 = initial_targets(f0, pop_set.initial)
+    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, pop_F0).total
                          for h in hypotheses])
 
     # Draw every trial first, each from its own generator in the order

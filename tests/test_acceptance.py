@@ -68,7 +68,7 @@ def test_criterion_2_vortex_reference():
         colloc = CollocationSet(interior=Z[:200],
                                 initial=sample_initial(200, params.domain[:2], 8))
         rb = empirical_risk(lambda z: taylor_green_field(z, params), cfg, colloc,
-                            taylor_green_initial(params))
+                            initial_targets(taylor_green_initial(params), colloc.initial))
         worst_risk = max(worst_risk, rb.total)
     ok = worst_r < 1e-10 and worst_d < 1e-10 and worst_risk < 1e-10
     report("2 analytic vortex", ok,
@@ -98,7 +98,8 @@ def test_criterion_3_risk_gradient():
                          lambda1=float(g.uniform(0, 1)),
                          nu=float(g.uniform(0.005, 0.1)))
         f0 = lambda x: np.sin(x)
-        G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0, colloc.initial))
+        F0 = initial_targets(f0, colloc.initial)
+        G = grad_risk(weights, spec, cfg, colloc, F0)
         F = np.zeros_like(G)
         for i in range(p):
             for j in range(d + 1):
@@ -106,7 +107,7 @@ def test_criterion_3_risk_gradient():
                     w = weights.copy()
                     w.W[i, j] += s
                     F[i, j] += sign * empirical_risk(
-                        lambda z: field_eval(w, spec, z), cfg, colloc, f0).total
+                        lambda z: field_eval(w, spec, z), cfg, colloc, F0).total
         F /= 2 * h
         scale = max(float(np.max(np.abs(F))), 1e-8)
         worst = max(worst, float(np.max(np.abs(G - F))) / scale)

@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnbound import (ActivationSpec, LossConfig, constants,
                        generalization_bound, init_weights, load_checkpoint,
                        save_checkpoint, weight_stats)
-from pinnbound.cli import (DEFAULT_CONFIG, build_parser, main,
-                           resolve_config, _apply_set, _moment_constants_for)
+from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, build_parser, main, resolve_config,
+                           _apply_set, _check_config, _moment_constants_for)
 
 TINY = ["--set", "training.epochs=20", "--set", "dims.p=4",
         "--set", "sampling.n_r=8", "--set", "sampling.n_0=6",
@@ -327,3 +334,78 @@ def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, a
     assert captured.err.startswith("usage error:") and captured.out == ""
     assert key in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ("sampling.box=[[0,1],[0,1]]", "bound"),                # 2 axes for d = 2
+    ("dims.d=1 sampling.box=[[0,1],[0,1]]", "bound"),       # 2 axes, but a d = 2 checkpoint
+    ("sampling.box=[[0,1],[0,1],[1,0]]", "bound"),          # a degenerate interval
+    ("sampling.box=[[0,1],[0,1],[1,0]]", "sweep"),
+    ("sampling.box=[[0,1],[0],[0,1]]", "sweep"),            # a ragged box
+    ("sampling.box=[[0,1],[0,1]]", "sweep"),
+    ("sampling.w_scale=abc", "sweep"),
+    ("sampling.w_scale=0.5", "sweep"),                      # the sweep ignores it
+    ("dims.d=3", "sweep"),
+    ('loss={"nu":0.5}', "train"),                           # a section missing three keys
+    ('training={"epochs":20,"log_every":10}', "bound"),
+])
+def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, assignment,
+                                                           command):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    out = tmp_path / "bad"
+    sets = [arg for a in assignment.split() for arg in ("--set", a)]
+    cmd = [command, str(ck)] if command == "bound" else [command]
+    assert run(SWEEP_FAST + sets + ["--out", str(out)] + cmd) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", [None] + sorted(PRESETS))
+def test_default_config_and_presets_pass_the_schema(preset):
+    if preset is None:
+        _check_config(copy.deepcopy(DEFAULT_CONFIG))
+    else:
+        _check_config(resolve_config(build_parser().parse_args(["--preset", preset, "train"])))
+
+
+_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+_SECTIONS = sorted(k for k, v in DEFAULT_CONFIG.items() if isinstance(v, dict))
+_OUTSIDE = st.one_of(
+    _NAMES.filter(lambda key: key not in DEFAULT_CONFIG),
+    st.tuples(st.sampled_from(_SECTIONS), _NAMES).filter(
+        lambda t: t[1] not in DEFAULT_CONFIG[t[0]]).map(".".join),
+).map(lambda path: (path, 1))
+_LEAVES = [(f"{sec}.{key}", default) for sec, body in DEFAULT_CONFIG.items()
+           if isinstance(body, dict) for key, default in body.items()] + [("seed", 0)]
+_SCALARS = st.one_of(st.integers(-5, 5), st.floats(), st.booleans(), st.text(max_size=5))
+# A value of another kind than each kind of default: a float for a count, a
+# bool for a number, a string for a flag, a scalar for a list, and so on.
+_OTHER_KIND = {
+    int: st.one_of(st.floats(), st.booleans(), st.text(max_size=5), st.lists(st.integers(1, 9))),
+    float: st.one_of(st.booleans(), st.text(max_size=5), st.lists(st.integers(1, 9))),
+    bool: st.one_of(st.text(max_size=5), st.integers(), st.floats()),
+    list: _SCALARS,
+    str: st.one_of(st.integers(), st.floats(), st.booleans()),
+    type(None): st.one_of(st.booleans(), st.text(max_size=5)),
+}
+_WRONG_KIND = st.sampled_from(_LEAVES).flatmap(
+    lambda leaf: _OTHER_KIND[type(leaf[1])].map(lambda value: (leaf[0], value)))
+
+
+@pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.one_of(_OUTSIDE, _WRONG_KIND))
+def test_config_outside_the_schema_is_usage_error(command, case):
+    path, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ck, out = Path(tmp) / "ck.json", Path(tmp) / "out"
+        save_checkpoint(init_weights(2, 3, seed=0), ActivationSpec.from_name("tanh", 1), ck)
+        argv = TINY + ["--set", f"{path}={json.dumps(value)}", "--out", str(out), command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv + [str(ck)] if command == "bound" else argv)
+        assert (code, stdout.getvalue()) == (1, "")
+        assert stderr.getvalue().startswith("usage error:")
+        assert not out.exists()

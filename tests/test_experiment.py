@@ -5,7 +5,7 @@ import pytest
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        TaylorGreenParams, TrainConfig, empirical_risk,
-                       init_weights, measure_gap, moment_constants, pearson,
+                       init_weights, initial_targets, measure_gap, moment_constants, pearson,
                        sample_initial, sample_interior, sweep_experiment,
                        taylor_green_field, taylor_green_initial)
 from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, correlate, sweep_row
@@ -78,7 +78,8 @@ def test_vortex_zero_empirical_risk():
     colloc = CollocationSet(interior=sample_interior(50, UNIT_BOX, 0),
                             initial=sample_initial(30, UNIT_BOX[:2], 1))
     field = lambda z: taylor_green_field(z, params)
-    rb = empirical_risk(field, cfg, colloc, taylor_green_initial(params))
+    rb = empirical_risk(field, cfg, colloc,
+                        initial_targets(taylor_green_initial(params), colloc.initial))
     assert rb.total < 1e-12
 
 

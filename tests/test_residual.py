@@ -5,7 +5,8 @@ import pytest
 
 from pinnbound import (ActivationSpec, CollocationSet, FieldEval, LossConfig,
                        empirical_risk, field_eval, huber, huber_grad,
-                       init_weights, loss_init, loss_res, momentum_residual)
+                       init_weights, initial_losses, initial_targets, loss_init,
+                       loss_res, momentum_residual)
 
 
 def still_field(u, z):
@@ -87,13 +88,19 @@ def test_loss_init_hand_case():
         loss_init(np.zeros(2), np.zeros(3), cfg)
 
 
+def test_initial_losses_are_loss_init_per_point(rng):
+    cfg = LossConfig(delta=0.6, lambda1=0.7)
+    u0, F0 = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+    assert initial_losses(u0, F0, cfg).tolist() == [loss_init(u, f, cfg) for u, f in zip(u0, F0)]
+
+
 def test_empirical_risk_still_field():
     # constant field: zero residual and divergence, only the initial miss
     cfg = LossConfig(delta=1.0, lambda0=1.0, lambda1=0.3)
     colloc = CollocationSet(interior=np.zeros((4, 3)), initial=np.zeros((2, 2)))
     field = lambda z: still_field([0.5, 0.0], z)
     f0 = np.zeros_like
-    rb = empirical_risk(field, cfg, colloc, f0)
+    rb = empirical_risk(field, cfg, colloc, initial_targets(f0, colloc.initial))
     assert rb.momentum_term == 0.0
     assert rb.divergence_term == 0.0
     assert abs(rb.initial_term - 0.3 * 0.5 * 0.25) < 1e-15
@@ -106,7 +113,7 @@ def test_empirical_risk_averages():
                             initial=np.array([[0.0, 0.0], [1.0, 0.0]]))
     field = lambda z: still_field([0.0, 0.0], z)
     f0 = lambda x: x * [1.0, 0.0]  # miss grows with x
-    rb = empirical_risk(field, cfg, colloc, f0)
+    rb = empirical_risk(field, cfg, colloc, initial_targets(f0, colloc.initial))
     assert abs(rb.initial_term - 0.5 * (0.0 + 0.5)) < 1e-15
 
 
@@ -118,11 +125,13 @@ def test_empirical_risk_permutation_invariant(rng):
     cfg = LossConfig()
     interior = rng.uniform(0, 1, (17, 3))
     initial = rng.uniform(0, 1, (13, 2))
-    base = empirical_risk(field, cfg, CollocationSet(interior, initial), f0)
+    base = empirical_risk(field, cfg, CollocationSet(interior, initial),
+                          initial_targets(f0, initial))
     for _ in range(3):
         pi = rng.permutation(17)
         pj = rng.permutation(13)
-        shuf = empirical_risk(field, cfg, CollocationSet(interior[pi], initial[pj]), f0)
+        shuf = empirical_risk(field, cfg, CollocationSet(interior[pi], initial[pj]),
+                              initial_targets(f0, initial[pj]))
         assert shuf.momentum_term == base.momentum_term
         assert shuf.divergence_term == base.divergence_term
         assert shuf.initial_term == base.initial_term

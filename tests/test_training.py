@@ -23,6 +23,7 @@ def f0_demo(x):
 
 
 def fd_grad(weights, spec, cfg, colloc, f0, h=1e-6):
+    F0 = initial_targets(f0, colloc.initial)
     G = np.zeros_like(weights.W)
     for i in range(weights.p):
         for j in range(weights.d + 1):
@@ -30,7 +31,7 @@ def fd_grad(weights, spec, cfg, colloc, f0, h=1e-6):
                 w = weights.copy()
                 w.W[i, j] += s
                 field = lambda z: field_eval(w, spec, z)
-                G[i, j] += sign * empirical_risk(field, cfg, colloc, f0).total
+                G[i, j] += sign * empirical_risk(field, cfg, colloc, F0).total
     return G / (2 * h)
 
 
@@ -50,7 +51,8 @@ def test_risk_breakdown_matches_generic_evaluator(rng):
         cfg = LossConfig(delta=0.7, lambda0=1.3, lambda1=0.4, nu=0.05)
         batched = risk_breakdown(weights, TANH, cfg, colloc,
                                  initial_targets(f0_demo, colloc.initial))
-        looped = empirical_risk(per_point_field(weights, TANH), cfg, colloc, f0_demo)
+        looped = empirical_risk(per_point_field(weights, TANH), cfg, colloc,
+                                initial_targets(f0_demo, colloc.initial))
         assert abs(batched.momentum_term - looped.momentum_term) < 1e-12
         assert abs(batched.divergence_term - looped.divergence_term) < 1e-12
         assert abs(batched.initial_term - looped.initial_term) < 1e-12

@@ -207,7 +207,8 @@ def reference_symmetrization(hypotheses, loss_cfg, sampler, f0, n_points, n_tria
     hypothesis per trial.  Returns (lhs, rhs, std_error)."""
     rng_pop = np.random.default_rng((seed, 0xF00D))
     pop_set = CollocationSet(*sampler(rng_pop, population_points))
-    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, f0).total
+    pop_F0 = initial_targets(f0, pop_set.initial)
+    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, pop_F0).total
                          for h in hypotheses])
     gap_vals = np.empty(n_trials)
     rad_vals = np.empty(n_trials)
