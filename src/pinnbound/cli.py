@@ -6,7 +6,8 @@ resolved config and the artifact version string, and contains no
 timestamps, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure.
+3 verification failure.  A closed stdout drops the rest of the report
+and changes neither the work, the artifacts nor the exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import copy
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -198,6 +200,18 @@ def _reject_ignored(cfg: dict, command: str) -> None:
                          "`pinnbound bound` or `train` only")
 
 
+def _say(text: str) -> None:
+    """Print one line of the report.  Once the reader has closed stdout, point
+    it at the null device, so that the rest of the report (and the flush at
+    exit) is dropped without an error and the command still finishes."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = {**payload, "config": cfg, "version": __version__}
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -229,8 +243,8 @@ def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
                              repr(rb.initial_term), repr(rb.total)])
     _write_json(out_dir / "train_run.json",
                 {"final_risk": history[-1][1].total, "epochs": s.train.epochs}, cfg)
-    print(f"trained {s.train.epochs} epochs; final risk {history[-1][1].total:.6g}; "
-          f"artifacts in {out_dir}")
+    _say(f"trained {s.train.epochs} epochs; final risk {history[-1][1].total:.6g}; "
+         f"artifacts in {out_dir}")
     return 0
 
 
@@ -251,6 +265,9 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 1
+    if cfg["activation"] != DEFAULT_CONFIG["activation"] and s.activation != spec:
+        raise UsageError(f"activation {s.activation.family.value}^{s.activation.k} does not "
+                         f"match the checkpoint's {spec.family.value}^{spec.k}")
     if len(s.box) != weights.d + 1:
         raise UsageError(f"the checkpoint needs a sampling.box of d + 1 = {weights.d + 1} axes")
     C_z, C_z0 = _moment_constants_for(cfg, s.box)
@@ -267,7 +284,7 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
         writer.writerow(keys)
         writer.writerow([repr(doc[k]) if isinstance(doc[k], float) else doc[k]
                          for k in keys])
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    _say(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
@@ -334,7 +351,7 @@ def cmd_verify(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
         all_pass &= passed
         _write_json(out_dir / f"verify_{name}.json",
                     {"checks": reps, "all_pass": passed}, cfg)
-        print(f"{name}: {sum(r['verdict'] == 'PASS' for r in reps)}/{len(reps)} PASS")
+        _say(f"{name}: {sum(r['verdict'] == 'PASS' for r in reps)}/{len(reps)} PASS")
     return 0 if all_pass else 3
 
 
@@ -363,11 +380,11 @@ def _cached_sweep_row(cfg: dict, out_dir: Path):
         except (OSError, ValueError):
             doc = {}
         if doc.get("config") == cfg:
-            print(f"N_r={n_r}: cached")
+            _say(f"N_r={n_r}: cached")
             return GapReport.from_dict(doc["row"])
         report = sweep_row(sweep_cfg, idx)
         _write_json(path, {"row": report.to_dict()}, cfg)
-        print(f"N_r={n_r}: gap={report.gap:.4g} bound={report.bound.total:.4g}")
+        _say(f"N_r={n_r}: gap={report.gap:.4g} bound={report.bound.total:.4g}")
         return report
     return row
 
@@ -389,7 +406,7 @@ def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
             fh.write(f"{row['bound']['total']!r} {row['gap']!r}\n")
     _write_json(out_dir / "sweep.json", doc, cfg)
     r = report.pearson_r
-    print(f"pearson_r = {r}" if r is not None else "pearson_r undefined (constant column)")
+    _say(f"pearson_r = {r}" if r is not None else "pearson_r undefined (constant column)")
     return 2 if report.failed_rows and not report.rows else 0
 
 

@@ -53,14 +53,27 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
 
 
+# Activations per scoring chunk: 512 points at p = 64, an L2-sized derivative stack.
+_CHUNK = 32768
+
+
 def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
                    colloc: CollocationSet, F0: np.ndarray) -> RiskBreakdown:
     """Empirical risk of the network (the value of `empirical_risk` with
     `field_eval`, computed without a Python loop over points).
-    F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`."""
-    fe = fields(weights, spec, colloc.interior)[0]
-    u0 = fields(weights, spec, colloc.initial_spacetime, derivatives=False)[0].u
-    return RiskBreakdown.average(*interior_losses(fe, cfg), initial_losses(u0, F0, cfg))
+    F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`.
+    Each set is scored in chunks of _CHUNK // p points, one `fields` call
+    per chunk, so memory stays bounded however large the set; each point's
+    loss reads only its own row and math.fsum is exact, so the chunks do
+    not change the risk."""
+    step = max(1, _CHUNK // weights.p)
+    interior = [interior_losses(fields(weights, spec, colloc.interior[a:a + step])[0], cfg)
+                for a in range(0, colloc.n_interior, step)]
+    initial = [initial_losses(fields(weights, spec, colloc.initial_spacetime[a:a + step],
+                                     derivatives=False)[0].u, F0[a:a + step], cfg)
+               for a in range(0, colloc.n_initial, step)]
+    momentum, divergence = map(np.concatenate, zip(*interior))
+    return RiskBreakdown.average(momentum, divergence, np.concatenate(initial))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

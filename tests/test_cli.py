@@ -2,6 +2,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from pinnbound import (ActivationSpec, LossConfig, constants,
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, build_parser, main, resolve_config,
                            _apply_set, _check_config, _moment_constants_for)
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--set", "training.epochs=20", "--set", "dims.p=4",
         "--set", "sampling.n_r=8", "--set", "sampling.n_0=6",
         "--set", "training.log_every=10"]
@@ -164,6 +168,27 @@ def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
     assert not out.exists()
 
 
+def test_bound_rejects_activation_other_than_checkpoints(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    out = tmp_path / "o"
+    assert run(["--set", "activation.family=sigmoid", "--set", "activation.k=2",
+                "--out", str(out), "bound", str(ck)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+    # the default section stands for "the checkpoint's activation"
+    assert run(["--out", str(out), "bound", str(ck)]) == 0
+
+
+def test_train_then_bound_with_the_same_activation(tmp_path):
+    sigmoid2 = TINY + ["--set", "activation.family=sigmoid", "--set", "activation.k=2"]
+    assert run(sigmoid2 + ["--out", str(tmp_path), "train"]) == 0
+    assert run(sigmoid2 + ["--out", str(tmp_path), "bound",
+                           str(tmp_path / "checkpoint.json")]) == 0
+    doc = json.loads((tmp_path / "bound.json").read_text())
+    assert doc["sigma_constants"] == vars(constants(ActivationSpec.from_name("sigmoid", 2)))
+
+
 def test_bound_bad_checkpoint_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -221,6 +246,26 @@ def test_sweep_artifacts_and_resume(tmp_path):
     assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
     for name, blob in before.items():
         assert (out / name).read_bytes() == blob
+
+
+def test_closed_stdout_still_finishes_the_sweep(tmp_path):
+    # The read end is closed before the child starts, so its first line
+    # already meets a broken pipe: no race with a reader.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pinnbound.cli", *SWEEP_FAST,
+                               "--out", str(tmp_path / "piped"), "sweep"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run(SWEEP_FAST + ["--out", str(tmp_path / "direct"), "sweep"]) == 0
+    for name in ("sweep.json", "sweep.csv", "bound_vs_gap.dat"):
+        assert ((tmp_path / "piped" / name).read_bytes()
+                == (tmp_path / "direct" / name).read_bytes())
 
 
 def test_sweep_needs_three_rows(tmp_path):

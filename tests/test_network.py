@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pinnbound import (ActivationSpec, PinnWeights, eval_derivs, field_eval, fields,
-                       init_weights, load_checkpoint, save_checkpoint)
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights, eval_derivs,
+                       field_eval, fields, init_weights, load_checkpoint, risk_breakdown,
+                       save_checkpoint)
 
 from conftest import FAMILIES
 
@@ -86,6 +87,27 @@ def test_fields_peak_memory(spec):
         tracemalloc.stop()
     assert result[0].jac_u.shape == (n, d, d)
     assert peak < 5.5 * n * p * 8
+
+
+def test_risk_breakdown_peak_memory():
+    # Scored in chunks, a population holds one chunk's stack at a time: the
+    # whole-set stack and pre-activations of 25,000 points at p = 64 are 64 MB.
+    n, p, d = 25_000, 64, 2
+    spec = ActivationSpec.from_name("expnegrelu", 3)
+    weights = init_weights(d, p, seed=0)
+    g = np.random.default_rng(0)
+    colloc = CollocationSet(interior=g.uniform(0.0, 1.0, (n, d + 1)),
+                            initial=g.uniform(0.0, 1.0, (n, d)))
+    F0 = np.zeros((n, d))
+    fields(weights, spec, colloc.interior[:3])  # build the cached coefficients outside the trace
+    tracemalloc.start()
+    try:
+        risk = risk_breakdown(weights, spec, LossConfig(), colloc, F0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(risk.total)
+    assert peak < 4e6
 
 
 def test_init_weights_deterministic_and_scaled():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pinnbound
+from pinnbound import training
 from pinnbound import (ActivationSpec, FieldEval, LossConfig, OptimState, PinnWeights,
                        TrainConfig, adamw_step, empirical_risk, field_eval,
                        grad_risk, init_weights, initial_targets, risk_breakdown,
@@ -44,18 +45,23 @@ def per_point_field(weights, spec):
     return field
 
 
-def test_risk_breakdown_matches_generic_evaluator(rng):
-    for seed in range(5):
-        weights = random_net(seed, d=2, p=5)
-        colloc = random_colloc(seed + 100, d=2, n_r=7, n_0=5)
-        cfg = LossConfig(delta=0.7, lambda0=1.3, lambda1=0.4, nu=0.05)
-        batched = risk_breakdown(weights, TANH, cfg, colloc,
-                                 initial_targets(f0_demo, colloc.initial))
-        looped = empirical_risk(per_point_field(weights, TANH), cfg, colloc,
-                                initial_targets(f0_demo, colloc.initial))
-        assert abs(batched.momentum_term - looped.momentum_term) < 1e-12
-        assert abs(batched.divergence_term - looped.divergence_term) < 1e-12
-        assert abs(batched.initial_term - looped.initial_term) < 1e-12
+def test_risk_breakdown_matches_generic_evaluator():
+    # Set sizes around the scoring chunk c, the two sets at different sizes,
+    # so that each chunk boundary falls inside, at and past a set's end.
+    p = 64
+    c = training._CHUNK // p
+    sizes = [c - 1, c, c + 1, 3 * c + 7]
+    cfg = LossConfig(delta=0.7, lambda0=1.3, lambda1=0.4, nu=0.05)
+    for spec in FAMILIES:
+        for seed, (n_r, n_0) in enumerate(zip(sizes, sizes[1:] + sizes[:1])):
+            weights = random_net(seed, d=2, p=p)
+            colloc = random_colloc(seed + 100, d=2, n_r=n_r, n_0=n_0)
+            F0 = initial_targets(f0_demo, colloc.initial)
+            batched = risk_breakdown(weights, spec, cfg, colloc, F0)
+            looped = empirical_risk(per_point_field(weights, spec), cfg, colloc, F0)
+            assert abs(batched.momentum_term - looped.momentum_term) < 1e-12
+            assert abs(batched.divergence_term - looped.divergence_term) < 1e-12
+            assert abs(batched.initial_term - looped.initial_term) < 1e-12
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: f"{s.family.value}^{s.k}")
