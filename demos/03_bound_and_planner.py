@@ -11,8 +11,9 @@ target accuracy, how many collocation points are enough?
 import math
 
 from pinnbound import (ActivationSpec, LossConfig, WeightStats, constants,
-                       generalization_bound, init_weights, point_ratio,
+                       generalization_bound, init_weights, moment_constants, point_ratio,
                        sample_planner, weight_stats)
+from pinnbound.experiment import UNIT_BOX
 
 loss = LossConfig()
 sc = constants(ActivationSpec.from_name("tanh", 1))
@@ -26,18 +27,19 @@ print(f"interior term = {rep.term_interior}")
 print(f"initial term  = {rep.term_initial}")
 print(f"total         = {rep.total}")
 
-# the same machinery on an actual network
+# the same machinery on an actual network, with the unit box's exact
+# root-mean-square point norms (1 and sqrt(2/3))
 net = init_weights(d=2, p=32, seed=0)
 stats = weight_stats(net)
+C_z, C_z0 = moment_constants(UNIT_BOX)
 print("\nnetwork caps:", stats)
-rep = generalization_bound(stats, sc, loss, N_r=125, N_0=500,
-                           C_z=1.0, C_z0=math.sqrt(2 / 3))
+rep = generalization_bound(stats, sc, loss, N_r=125, N_0=500, C_z=C_z, C_z0=C_z0)
 print(f"network bound total = {rep.total:.4f}")
 
 # planner: points needed to push the bound below eps
 for eps in (rep.total, rep.total / 2, rep.total / 4):
-    N_r, N_0 = sample_planner(eps, stats, sc, loss, 1.0, math.sqrt(2 / 3))
+    N_r, N_0 = sample_planner(eps, stats, sc, loss, C_z, C_z0)
     print(f"eps = {eps:9.3f}  ->  N_r = {N_r:8d}, N_0 = {N_0:6d}")
 
 print("\nsuggested N_r / N_0 ratio:",
-      round(point_ratio(stats, sc, loss, 1.0, math.sqrt(2 / 3)), 3))
+      round(point_ratio(stats, sc, loss, C_z, C_z0), 3))

@@ -40,8 +40,7 @@ DEFAULT_CONFIG = {
                  "beta2": 0.999, "eps_adam": 1e-8, "weight_decay": 0.01,
                  "log_every": 100},
     "sampling": {"n_r": 125, "n_0": 500, "box": "unit", "w_scale": None},
-    "bound": {"cz_convention": "sqrt", "proof_variant": False,
-              "moment_sample": 100000, "constants_override": None},
+    "bound": {"cz_convention": "sqrt", "proof_variant": False, "constants_override": None},
     "sweep": {"n_r_values": [27, 64, 125, 216], "population_factor": 10},
     "verify": {"n_instances": 20, "n_draws": 4000, "n_points": 8,
                "grid_size": 40, "sym_classes": 5, "sym_trials": 300,
@@ -189,12 +188,12 @@ def _settings(cfg: dict) -> SweepConfig:
 
 def _reject_ignored(cfg: dict, command: str) -> None:
     """Reject the settings that `command` ignores: train and sweep solve the
-    2-dimensional vortex, and the sweep takes sqrt C_z of its population and
-    the default W scale."""
+    2-dimensional vortex, and the sweep takes the paper's bound with sqrt C_z
+    and the default W scale."""
     if command in ("train", "sweep") and cfg["dims"]["d"] != 2:
         raise UsageError("dims.d must be 2: the Taylor-Green initial condition is 2-dimensional")
     changed = [path for path, val in _leaves(cfg).items() if val != _SCHEMA[path] and path in (
-        "bound.cz_convention", "bound.proof_variant", "bound.moment_sample", "sampling.w_scale")]
+        "bound.cz_convention", "bound.proof_variant", "sampling.w_scale")]
     if command == "sweep" and changed:
         raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
                          "`pinnbound bound` or `train` only")
@@ -224,7 +223,7 @@ def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     box, seed = np.asarray(s.box, dtype=float), cfg["seed"]
     colloc = CollocationSet(interior=sample_interior(cfg["sampling"]["n_r"], box, seed),
                             initial=sample_initial(cfg["sampling"]["n_0"], box[:-1], seed + 1))
-    f0 = taylor_green_initial(TaylorGreenParams(nu=s.loss.nu, domain=s.box))
+    f0 = taylor_green_initial(TaylorGreenParams(nu=s.loss.nu))
     weights0 = init_weights(cfg["dims"]["d"], cfg["dims"]["p"], seed + 2,
                             w_scale=cfg["sampling"]["w_scale"])
     try:
@@ -248,17 +247,6 @@ def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     return 0
 
 
-def _moment_constants_for(cfg: dict, box) -> tuple[float, float]:
-    box = np.asarray(box, dtype=float)
-    n, seed = cfg["bound"]["moment_sample"], cfg["seed"]
-    C_z, C_z0 = moment_constants(sample_interior(n, box, seed),
-                                 sample_initial(n, box[:-1], seed + 1))
-    if cfg["bound"]["cz_convention"] == "literal":
-        # second-moment values themselves, not their square roots
-        C_z, C_z0 = C_z**2, C_z0**2
-    return C_z, C_z0
-
-
 def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
     try:
         weights, spec = load_checkpoint(checkpoint)
@@ -270,13 +258,18 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
                          f"match the checkpoint's {spec.family.value}^{spec.k}")
     if len(s.box) != weights.d + 1:
         raise UsageError(f"the checkpoint needs a sampling.box of d + 1 = {weights.d + 1} axes")
-    C_z, C_z0 = _moment_constants_for(cfg, s.box)
+    C_z, C_z0 = moment_constants(s.box)
+    if cfg["bound"]["cz_convention"] == "literal":
+        # second-moment values themselves, not their square roots
+        C_z, C_z0 = C_z**2, C_z0**2
     report = bounds.generalization_bound(bounds.weight_stats(weights),
                                          s.sigma_constants or constants(spec), s.loss,
                                          cfg["sampling"]["n_r"], cfg["sampling"]["n_0"], C_z, C_z0,
                                          proof_variant=cfg["bound"]["proof_variant"])
     doc = report.to_dict()
-    _write_json(out_dir / "bound.json", doc, cfg)
+    # the constants are the checkpoint's, and so is the activation recorded
+    used = {**cfg, "activation": {"family": spec.family.value, "k": spec.k}}
+    _write_json(out_dir / "bound.json", doc, used)
     with open(out_dir / "bound.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         keys = ["N_r", "N_0", "C1", "C2", "C_z", "C_z0",

@@ -30,14 +30,10 @@ FIGURE1_BOX = ((0.0, 2.0), (0.0, 2.0), (0.0, 1.0))
 @dataclass(frozen=True)
 class TaylorGreenParams:
     nu: float = 0.01
-    rho: float = 1.0
-    domain: tuple = UNIT_BOX
 
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError("nu must be > 0")
-        if self.rho != 1.0:
-            raise ValueError("density is fixed at 1")
 
 
 def taylor_green_field(z, params: TaylorGreenParams) -> FieldEval:
@@ -47,20 +43,19 @@ def taylor_green_field(z, params: TaylorGreenParams) -> FieldEval:
     if z.shape[-1:] != (3,):
         raise ValueError("the vortex solution is 2-dimensional: z must be (..., 3) = (x, y, t)")
     x, y, t = z[..., 0], z[..., 1], z[..., 2]
-    nu, rho = params.nu, params.rho
-    pi = math.pi
+    nu, pi = params.nu, math.pi
     E = np.exp(-2.0 * pi * pi * nu * t)
     E2 = E * E
     cx, sx = np.cos(pi * x), np.sin(pi * x)
     cy, sy = np.cos(pi * y), np.sin(pi * y)
 
     vel = np.stack([-cx * sy * E, sx * cy * E], axis=-1)
-    p_val = -0.25 * rho * (np.cos(2 * pi * x) + np.cos(2 * pi * y)) * E2
+    p_val = -0.25 * (np.cos(2 * pi * x) + np.cos(2 * pi * y)) * E2
     jac = np.stack([
         np.stack([pi * sx * sy * E, -pi * cx * cy * E], axis=-1),
         np.stack([pi * cx * cy * E, -pi * sx * sy * E], axis=-1),
     ], axis=-2)
-    grad_p = 0.5 * rho * pi * np.stack([np.sin(2 * pi * x), np.sin(2 * pi * y)], axis=-1)
+    grad_p = 0.5 * pi * np.stack([np.sin(2 * pi * x), np.sin(2 * pi * y)], axis=-1)
     return FieldEval(u=vel, p_val=p_val, du_dt=-2.0 * pi * pi * nu * vel, jac_u=jac,
                      grad_p=grad_p * E2[..., None], lap_u=-2.0 * pi * pi * vel,
                      div_u=jac[..., 0, 0] + jac[..., 1, 1])
@@ -96,16 +91,14 @@ def sample_initial(n: int, box, seed: int) -> np.ndarray:
     return sample_interior(n, box, seed)
 
 
-def moment_constants(interior_samples, initial_samples) -> tuple[float, float]:
-    """Root-mean-square point norms: C_z over interior samples and C_z0
-    over the (x, 0) embeddings of the initial samples."""
-    Zi = np.atleast_2d(np.asarray(interior_samples, dtype=float))
-    X0 = np.atleast_2d(np.asarray(initial_samples, dtype=float))
-    if len(Zi) == 0 or len(X0) == 0:
-        raise ValueError("empty sample")
-    C_z = math.sqrt(float(np.mean(np.sum(Zi * Zi, axis=1))))
-    C_z0 = math.sqrt(float(np.mean(np.sum(X0 * X0, axis=1))))
-    return C_z, C_z0
+def moment_constants(box) -> tuple[float, float]:
+    """Root-mean-square norms of uniform points in the box: C_z over all its
+    axes and C_z0 over the spatial ones (an initial point is (x, 0)).  On
+    [a, b], E z^2 = (a^2 + a b + b^2) / 3, summed exactly and rounded once."""
+    from fractions import Fraction   # here, so that commands without a bound skip its import
+    ends = [map(Fraction, ab) for ab in _check_box(box).tolist()]
+    moments = [(a * a + a * b + b * b) / 3 for a, b in ends]
+    return math.sqrt(sum(moments)), math.sqrt(sum(moments[:-1]))
 
 
 def pearson(xs, ys) -> float:
@@ -146,10 +139,12 @@ class GapReport:
 
 
 def measure_gap(weights: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
-                train_colloc: CollocationSet, f0, population_points: int, seed: int,
-                box=UNIT_BOX, sigma_constants: SigmaConstants | None = None) -> GapReport:
-    """Empirical risk on the training set vs a fresh large uniform sample,
-    plus the bound evaluated at the trained weights."""
+                train_colloc: CollocationSet, train_risk: float, f0, population_points: int,
+                seed: int, box=UNIT_BOX,
+                sigma_constants: SigmaConstants | None = None) -> GapReport:
+    """The training set's empirical risk `train_risk` (as `train` last logged
+    it) vs the risk on a fresh large uniform sample, plus the bound evaluated
+    at the trained weights with the box's moment constants."""
     N_r, N_0 = train_colloc.n_interior, train_colloc.n_initial
     if population_points < 10 * N_r:
         raise ValueError("population_points must be >= 10 * N_r")
@@ -158,13 +153,11 @@ def measure_gap(weights: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig
     pop_init = sample_initial(population_points, box[:-1], seed + 1)
     pop_set = CollocationSet(interior=pop_int, initial=pop_init)
 
-    train_risk = risk_breakdown(weights, spec, loss_cfg, train_colloc,
-                                initial_targets(f0, train_colloc.initial)).total
     pop_risk = risk_breakdown(weights, spec, loss_cfg, pop_set,
                               initial_targets(f0, pop_set.initial)).total
 
     sc = sigma_constants if sigma_constants is not None else constants(spec)
-    C_z, C_z0 = moment_constants(pop_int, pop_init)
+    C_z, C_z0 = moment_constants(box)
     report = bounds.generalization_bound(bounds.weight_stats(weights), sc, loss_cfg,
                                          N_r, N_0, C_z, C_z0)
     return GapReport(N_r=N_r, N_0=N_0, train_risk=train_risk,
@@ -211,8 +204,7 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
     so rows are independent and individually reproducible.  Raises
     RuntimeError if the row's training diverges."""
     n_r = int(cfg.n_r_values[idx])
-    params = TaylorGreenParams(nu=cfg.loss.nu, domain=cfg.box)
-    f0 = taylor_green_initial(params)
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
     box = np.asarray(cfg.box, dtype=float)
     row_seed = int(np.random.default_rng((cfg.seed, idx)).integers(2**31))
     colloc = CollocationSet(
@@ -220,8 +212,8 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
         initial=sample_initial(cfg.n_0, box[:-1], row_seed + 1),
     )
     weights0 = init_weights(d=2, p=cfg.width, seed=row_seed + 2)
-    weights, _ = train(weights0, cfg.activation, cfg.loss, colloc, f0, cfg.train)
-    return measure_gap(weights, cfg.activation, cfg.loss, colloc, f0,
+    weights, history = train(weights0, cfg.activation, cfg.loss, colloc, f0, cfg.train)
+    return measure_gap(weights, cfg.activation, cfg.loss, colloc, history[-1][1].total, f0,
                        population_points=cfg.population_factor * max(n_r, cfg.n_0),
                        seed=row_seed + 3, box=box,
                        sigma_constants=cfg.sigma_constants)

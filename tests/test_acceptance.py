@@ -22,6 +22,7 @@ from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        momentum_residual, sample_initial, sample_interior,
                        sweep_experiment, taylor_green_field,
                        taylor_green_initial)
+from pinnbound.experiment import UNIT_BOX
 from pinnbound.cli import main as cli_main
 from pinnbound.cli import resolve_config, build_parser, _verify_reports
 
@@ -60,13 +61,13 @@ def test_criterion_2_vortex_reference():
     for nu in (1e-3, 1e-2):
         params = TaylorGreenParams(nu=nu)
         cfg = LossConfig(nu=nu)
-        Z = sample_interior(10000, params.domain, seed=7)
+        Z = sample_interior(10000, UNIT_BOX, seed=7)
         for z in Z:
             fe = taylor_green_field(z, params)
             worst_r = max(worst_r, float(np.max(np.abs(momentum_residual(fe, nu)))))
             worst_d = max(worst_d, abs(fe.div_u))
         colloc = CollocationSet(interior=Z[:200],
-                                initial=sample_initial(200, params.domain[:2], 8))
+                                initial=sample_initial(200, UNIT_BOX[:2], 8))
         rb = empirical_risk(lambda z: taylor_green_field(z, params), cfg, colloc,
                             initial_targets(taylor_green_initial(params), colloc.initial))
         worst_risk = max(worst_risk, rb.total)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from pinnbound import (ActivationSpec, LossConfig, constants,
                        generalization_bound, init_weights, load_checkpoint,
-                       save_checkpoint, weight_stats)
+                       moment_constants, save_checkpoint, weight_stats)
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, build_parser, main, resolve_config,
-                           _apply_set, _check_config, _moment_constants_for)
+                           _apply_set, _check_config)
+from pinnbound.experiment import UNIT_BOX
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--set", "training.epochs=20", "--set", "dims.p=4",
@@ -117,8 +119,8 @@ def test_bound_matches_library(tmp_path):
     assert run(["--set", "sampling.n_r=100", "--set", "sampling.n_0=2500",
                 "--out", str(out), "bound", str(ck)]) == 0
     doc = json.loads((out / "bound.json").read_text())
-    cfg = doc["config"]
-    C_z, C_z0 = _moment_constants_for(cfg, ((0, 1), (0, 1), (0, 1)))
+    C_z, C_z0 = moment_constants(UNIT_BOX)
+    assert (doc["C_z"], doc["C_z0"]) == (C_z, C_z0) == (1.0, math.sqrt(2 / 3))
     expected = generalization_bound(weight_stats(weights), constants(spec),
                                     LossConfig(), 100, 2500, C_z, C_z0)
     assert doc["total"] == expected.total
@@ -139,8 +141,7 @@ def test_bound_literal_convention_squares_moments(tmp_path):
                 "--out", str(out_l), "bound", str(ck)]) == 0
     a = json.loads((out_s / "bound.json").read_text())
     b = json.loads((out_l / "bound.json").read_text())
-    assert b["C_z"] == pytest.approx(a["C_z"] ** 2, rel=1e-12)
-    assert b["C_z0"] == pytest.approx(a["C_z0"] ** 2, rel=1e-12)
+    assert (b["C_z"], b["C_z0"]) == (a["C_z"] ** 2, a["C_z0"] ** 2)
 
 
 def test_bound_constants_override(tmp_path):
@@ -157,8 +158,7 @@ def test_bound_constants_override(tmp_path):
 
 
 @pytest.mark.parametrize("assignment", ["bound=3", "bound.cz_convention=bogus",
-                                        "bound.proof_variant=no", "bound.moment_sample=abc",
-                                        "bound.moment_sample=0"])
+                                        "bound.proof_variant=no"])
 def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
     ck = tmp_path / "ck.json"
     save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
@@ -176,8 +176,12 @@ def test_bound_rejects_activation_other_than_checkpoints(tmp_path, capsys):
                 "--out", str(out), "bound", str(ck)]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
-    # the default section stands for "the checkpoint's activation"
+    # the default section stands for "the checkpoint's activation", and the
+    # artifact records the activation the bound used
     assert run(["--out", str(out), "bound", str(ck)]) == 0
+    doc = json.loads((out / "bound.json").read_text())
+    assert doc["config"]["activation"] == {"family": "tanh", "k": 1}
+    assert doc["sigma_constants"] == vars(constants(ActivationSpec.from_name("tanh", 1)))
 
 
 def test_train_then_bound_with_the_same_activation(tmp_path):
@@ -329,7 +333,6 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     ("bound.cz_convention=bogus", "sweep"),
     ("bound.cz_convention=literal", "sweep"),
     ("bound.proof_variant=true", "sweep"),
-    ("bound.moment_sample=1", "sweep"),
     ("seed=-1", "verify"),
     ("seed=-1", "sweep"),
     ("activation=3", "train"),
@@ -370,6 +373,7 @@ def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, as
     ("sampling.nr=10", "train", "sampling.nr"),        # a typo for sampling.n_r
     ("bogus_section.x=1", "train", "bogus_section"),
     ("verify.bogus=3", "verify", "verify.bogus"),
+    ("bound.moment_sample=1", "sweep", "bound.moment_sample"),   # gone: C_z is exact
 ])
 def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, assignment,
                                                              command, key):

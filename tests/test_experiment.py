@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        TaylorGreenParams, TrainConfig, empirical_risk,
                        init_weights, initial_targets, measure_gap, moment_constants, pearson,
-                       sample_initial, sample_interior, sweep_experiment,
+                       risk_breakdown, sample_initial, sample_interior, sweep_experiment,
                        taylor_green_field, taylor_green_initial)
+from pinnbound import experiment, training
 from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, correlate, sweep_row
 from pinnbound.residual import loss_res, momentum_residual
 
@@ -87,8 +89,6 @@ def test_vortex_input_validation():
     with pytest.raises(ValueError):
         TaylorGreenParams(nu=0.0)
     with pytest.raises(ValueError):
-        TaylorGreenParams(rho=2.0)
-    with pytest.raises(ValueError):
         taylor_green_field(np.zeros(4), TaylorGreenParams())
 
 
@@ -109,15 +109,27 @@ def test_samplers_respect_box_and_seed():
         sample_interior(5, ((0, 0), (0, 1), (0, 1)), seed=0)
 
 
-def test_moment_constants_hand_cases():
-    C_z, C_z0 = moment_constants(np.array([[3.0, 4.0]]), np.array([[1.0]]))
-    assert C_z == 5.0 and C_z0 == 1.0
-    # uniform unit cube: E ||z||^2 = (d+1)/3
-    Z = sample_interior(200000, UNIT_BOX, seed=0)
-    X = sample_initial(200000, UNIT_BOX[:2], seed=1)
-    C_z, C_z0 = moment_constants(Z, X)
-    assert C_z == pytest.approx(1.0, abs=0.01)
-    assert C_z0 == pytest.approx(math.sqrt(2.0 / 3.0), abs=0.01)
+# Boxes with E ||z||^2 and E ||x||^2 worked by hand, E z^2 = (a^2 + ab + b^2)/3 per axis.
+MOMENT_CASES = [
+    (UNIT_BOX, Fraction(1), Fraction(2, 3)),
+    (FIGURE1_BOX, Fraction(3), Fraction(8, 3)),
+    # (1 - 2 + 4)/3 + (1/4 + 3/4 + 9/4)/3 + 9/3 = 1 + 13/12 + 3
+    (((-1, 2), (0.5, 1.5), (0, 3)), Fraction(61, 12), Fraction(25, 12)),
+]
+
+
+@pytest.mark.parametrize("box, second_z, second_z0", MOMENT_CASES,
+                         ids=["unit", "figure1", "negative_end"])
+def test_moment_constants_closed_form(box, second_z, second_z0):
+    # exact: the square roots of the correctly rounded second moments
+    assert moment_constants(box) == (math.sqrt(second_z), math.sqrt(second_z0))
+    # and what a large uniform sample of the box estimates, within 1%
+    Z = sample_interior(200000, box, seed=0)
+    X = sample_initial(200000, np.asarray(box)[:-1], seed=1)
+    sampled = [math.sqrt(np.mean(np.sum(P * P, axis=1))) for P in (Z, X)]
+    assert sampled == pytest.approx([math.sqrt(second_z), math.sqrt(second_z0)], rel=0.01)
+    with pytest.raises(ValueError):
+        moment_constants(((0, 1), (1, 1), (0, 1)))
 
 
 def test_pearson_reference_cases():
@@ -141,16 +153,18 @@ def test_measure_gap_zero_weight_network():
     params = TaylorGreenParams(nu=cfg.nu)
     colloc = CollocationSet(interior=sample_interior(20, UNIT_BOX, 5),
                             initial=sample_initial(15, UNIT_BOX[:2], 6))
-    rep = measure_gap(weights, spec, cfg, colloc, taylor_green_initial(params),
-                      population_points=400, seed=9)
-    assert rep.N_r == 20 and rep.N_0 == 15
+    f0 = taylor_green_initial(params)
+    train_risk = risk_breakdown(weights, spec, cfg, colloc,
+                                initial_targets(f0, colloc.initial)).total
+    rep = measure_gap(weights, spec, cfg, colloc, train_risk, f0, population_points=400, seed=9)
+    assert rep.N_r == 20 and rep.N_0 == 15 and rep.train_risk == train_risk
     assert rep.gap == abs(rep.train_risk - rep.population_estimate)
     assert rep.gap < 0.05
     assert rep.bound.term_interior == 0.0  # all weight functionals vanish
     assert rep.bound.term_initial == 0.0   # B_w = 0 and c0 = 0
+    assert (rep.bound.C_z, rep.bound.C_z0) == moment_constants(UNIT_BOX)
     with pytest.raises(ValueError):
-        measure_gap(weights, spec, cfg, colloc, taylor_green_initial(params),
-                    population_points=50, seed=9)
+        measure_gap(weights, spec, cfg, colloc, train_risk, f0, population_points=50, seed=9)
 
 
 def test_sweep_config_needs_three_rows():
@@ -187,3 +201,26 @@ def test_sweep_experiment_end_to_end():
     again = sweep_experiment(cfg)
     assert [row.gap for row in again.rows] == [row.gap for row in report.rows]
     assert again.pearson_r == report.pearson_r
+
+
+def test_sweep_row_scores_its_training_set_once(monkeypatch):
+    # `train` logs the risk of the final weights on the training set; the row
+    # reuses it, so it scores that set once and then only its population sample
+    calls = []
+
+    def counted(weights, spec, cfg, colloc, F0):
+        calls.append((weights, colloc))
+        return risk_breakdown(weights, spec, cfg, colloc, F0)
+
+    monkeypatch.setattr(training, "risk_breakdown", counted)
+    monkeypatch.setattr(experiment, "risk_breakdown", counted)
+    cfg = SweepConfig(n_r_values=(6, 12, 24), n_0=10, width=6,
+                      train=TrainConfig(epochs=30, log_every=30), seed=1)
+    row = sweep_row(cfg, 1)
+    assert len(calls) == 2
+    weights, colloc = calls[0]
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
+    assert colloc.n_interior == row.N_r == 12
+    assert row.train_risk == risk_breakdown(weights, cfg.activation, cfg.loss, colloc,
+                                            initial_targets(f0, colloc.initial)).total
+    assert (row.bound.C_z, row.bound.C_z0) == moment_constants(cfg.box)
