@@ -154,11 +154,10 @@ def sample_planner(eps: float, stats: WeightStats, sc: SigmaConstants,
 
 def point_ratio(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
                 C_z: float, C_z0: float) -> float:
-    """Suggested N_r / N_0: the squared ratio of the two term coefficients
-    with the shared 2*delta factors cancelled."""
-    C1, C2, _, _ = _term_coefficients(stats, sc, loss_cfg, C_z, C_z0, proof_variant=False)
-    num = (stats.B_w * C_z * C1 + C2) ** 2
-    den = (loss_cfg.lambda1 * stats.B_a * (stats.B_w * C_z0 * sc.L_sigma + abs(sc.c0))) ** 2
-    if den == 0.0:
+    """Suggested N_r / N_0: four times the ratio at which the two bound
+    terms are equal, i.e. four times the N_r / N_0 of `sample_planner`."""
+    _, _, interior_coef, initial_coef = _term_coefficients(
+        stats, sc, loss_cfg, C_z, C_z0, proof_variant=False)
+    if initial_coef == 0.0:
         raise ZeroDivisionError("initial term vanishes (B_a = 0 and c0 = 0); ratio undefined")
-    return num / den
+    return 4.0 * (interior_coef / initial_coef) ** 2

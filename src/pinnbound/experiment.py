@@ -199,23 +199,30 @@ class CorrelationReport:
                 "failed_rows": self.failed_rows}
 
 
+def train_vortex(cfg: SweepConfig, n_r: int, seed: int, w_scale: float | None = None):
+    """Train one network on the vortex in cfg.box: n_r interior points drawn
+    from `seed`, cfg.n_0 initial points from seed + 1, the weights from
+    seed + 2.  Returns (weights, history, colloc, f0) as `train` and its
+    inputs; raises RuntimeError if training diverges."""
+    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
+    box = np.asarray(cfg.box, dtype=float)
+    colloc = CollocationSet(interior=sample_interior(n_r, box, seed),
+                            initial=sample_initial(cfg.n_0, box[:-1], seed + 1))
+    weights0 = init_weights(d=2, p=cfg.width, seed=seed + 2, w_scale=w_scale)
+    weights, history = train(weights0, cfg.activation, cfg.loss, colloc, f0, cfg.train)
+    return weights, history, colloc, f0
+
+
 def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
     """Train and evaluate one sweep row.  Seeds derive from (cfg.seed, idx),
     so rows are independent and individually reproducible.  Raises
     RuntimeError if the row's training diverges."""
     n_r = int(cfg.n_r_values[idx])
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
-    box = np.asarray(cfg.box, dtype=float)
     row_seed = int(np.random.default_rng((cfg.seed, idx)).integers(2**31))
-    colloc = CollocationSet(
-        interior=sample_interior(n_r, box, row_seed),
-        initial=sample_initial(cfg.n_0, box[:-1], row_seed + 1),
-    )
-    weights0 = init_weights(d=2, p=cfg.width, seed=row_seed + 2)
-    weights, history = train(weights0, cfg.activation, cfg.loss, colloc, f0, cfg.train)
+    weights, history, colloc, f0 = train_vortex(cfg, n_r, row_seed)
     return measure_gap(weights, cfg.activation, cfg.loss, colloc, history[-1][1].total, f0,
                        population_points=cfg.population_factor * max(n_r, cfg.n_0),
-                       seed=row_seed + 3, box=box,
+                       seed=row_seed + 3, box=cfg.box,
                        sigma_constants=cfg.sigma_constants)
 
 

@@ -107,6 +107,19 @@ def _slack(exact: bool, std_error: float) -> float:
     return _EXACT_EPS if exact else 3.0 * std_error
 
 
+def _coupled_check(name: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, exact: bool,
+                   seed: int) -> CheckReport:
+    """Compare E lhs with E rhs through their coupled difference: lhs is the
+    mean of `lhs_vals`, rhs is lhs plus the mean of rhs_vals - lhs_vals, and
+    the standard error is the difference's.  PASS iff lhs <= rhs + _slack."""
+    lhs, _ = _mc_stats(lhs_vals, exact)
+    diff, se = _mc_stats(rhs_vals - lhs_vals, exact)
+    rhs = lhs + diff
+    return CheckReport(name=name, lhs=lhs, rhs=rhs, std_error=se,
+                       passed=lhs <= rhs + _slack(exact, se),
+                       exact=exact, n_draws=len(lhs_vals), seed=seed)
+
+
 def rademacher_linear(points, B: float, n_draws: int = 4000, seed: int = 0,
                       force_sampling: bool = False) -> RademacherEstimate:
     """(1/n) E_eps[ sup_{||w|| <= B} sum_i eps_i <w, z_i> ], using the
@@ -136,12 +149,7 @@ def check_abs_removal(grid: ConstraintGrid, points, phi, c: float,
     E, exact = _sign_vectors(n, n_draws, seed)
     lhs_vals = np.max(np.abs(F @ E.T), axis=0)
     rhs_vals = 2.0 * np.max(G @ E.T, axis=0) + abs(c) * math.sqrt(n)
-    lhs, _ = _mc_stats(lhs_vals, exact)
-    rhs, se = _mc_stats(rhs_vals - lhs_vals, exact)
-    rhs = lhs + rhs  # mean of rhs_vals, phrased via the coupled difference
-    return CheckReport(name="abs_removal", lhs=lhs, rhs=rhs, std_error=se,
-                       passed=lhs <= rhs + _slack(exact, se),
-                       exact=exact, n_draws=len(E), seed=seed)
+    return _coupled_check("abs_removal", lhs_vals, rhs_vals, exact, seed)
 
 
 def check_contraction_single(grid: ConstraintGrid, points, phi, L_phi: float,
@@ -168,12 +176,7 @@ def check_contraction_single(grid: ConstraintGrid, points, phi, L_phi: float,
     lhs_vals = np.max(V @ E.T, axis=0) / n
     lin_vals = np.max(P @ E.T, axis=0)
     rhs_vals = 2.0 * B * L_phi * lin_vals / n + B * abs(c) / math.sqrt(n)
-    lhs, _ = _mc_stats(lhs_vals, exact)
-    diff, se = _mc_stats(rhs_vals - lhs_vals, exact)
-    rhs = lhs + diff
-    return CheckReport(name="contraction_single", lhs=lhs, rhs=rhs, std_error=se,
-                       passed=lhs <= rhs + _slack(exact, se),
-                       exact=exact, n_draws=len(E), seed=seed)
+    return _coupled_check("contraction_single", lhs_vals, rhs_vals, exact, seed)
 
 
 def check_contraction_product(grid: ConstraintGrid, points, phi1, phi2,
@@ -193,12 +196,7 @@ def check_contraction_product(grid: ConstraintGrid, points, phi1, phi2,
     lin_vals = np.max(pre @ E.T, axis=0)
     rhs_vals = (4.0 * B * (B_phi1 * L_phi2 + B_phi2 * L_phi1) * lin_vals / n
                 + B * (2.0 * B_phi2 * abs(phi1(np.zeros(1))[0]) + abs(k)) / math.sqrt(n))
-    lhs, _ = _mc_stats(lhs_vals, exact)
-    diff, se = _mc_stats(rhs_vals - lhs_vals, exact)
-    rhs = lhs + diff
-    return CheckReport(name="contraction_product", lhs=lhs, rhs=rhs, std_error=se,
-                       passed=lhs <= rhs + _slack(exact, se),
-                       exact=exact, n_draws=len(E), seed=seed)
+    return _coupled_check("contraction_product", lhs_vals, rhs_vals, exact, seed)
 
 
 def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
@@ -248,9 +246,4 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     gap_vals = np.max(emp - pop_risk[:, None], axis=0)
     rad_vals = (2.0 * np.max(np.einsum("htn,tn->ht", res_losses, eps_r), axis=0) / n_points
                 + 2.0 * np.max(np.einsum("htn,tn->ht", init_losses, eps_0), axis=0) / n_points)
-    lhs, _ = _mc_stats(gap_vals, exact=False)
-    diff, se = _mc_stats(rad_vals - gap_vals, exact=False)
-    rhs = lhs + diff
-    return CheckReport(name="symmetrization", lhs=lhs, rhs=rhs, std_error=se,
-                       passed=lhs <= rhs + 3.0 * se, exact=False,
-                       n_draws=n_trials, seed=seed)
+    return _coupled_check("symmetrization", gap_vals, rad_vals, exact=False, seed=seed)

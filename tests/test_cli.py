@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from pinnbound import (ActivationSpec, LossConfig, constants,
                        generalization_bound, init_weights, load_checkpoint,
                        moment_constants, save_checkpoint, weight_stats)
+from pinnbound import experiment
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, build_parser, main, resolve_config,
-                           _apply_set, _check_config)
+                           _apply_set, _check_config, _settings)
 from pinnbound.experiment import UNIT_BOX
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,11 +226,31 @@ def test_verify_linear_rademacher_samples_the_configured_draws(tmp_path):
                               "--out", str(out), "verify"]) == 0
     doc = json.loads((out / "verify_rademacher_linear_bound.json").read_text())
     assert [(c["n_draws"], c["exact"]) for c in doc["checks"]] == [(50, False)] * 2
+    # the PASS rule of every other check: three standard errors of slack
+    for c in doc["checks"]:
+        assert (c["verdict"] == "PASS") == (c["lhs"] <= c["rhs"] + 3 * c["std_error"])
 
 
 SWEEP_FAST = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
               "--set", "dims.p=4", "--set", "training.epochs=15",
               "--set", "training.log_every=5"]
+
+
+def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):
+    # `pinnbound train` at a sweep row's N_r and derived seed trains the
+    # row's network, bit for bit.
+    trained = []
+    monkeypatch.setattr(experiment, "measure_gap",
+                        lambda weights, *args, **kw: trained.append(weights))
+    cfg = resolve_config(build_parser().parse_args(SWEEP_FAST + ["--set", "seed=4", "sweep"]))
+    experiment.sweep_row(_settings(cfg), 1)
+    row_seed = int(np.random.default_rng((4, 1)).integers(2**31))
+    out = tmp_path / "train"
+    assert run(SWEEP_FAST + ["--set", "sampling.n_r=10", "--set", f"seed={row_seed}",
+                             "--out", str(out), "train"]) == 0
+    weights, _ = load_checkpoint(out / "checkpoint.json")
+    for name in ("W", "A1", "a2"):
+        assert np.array_equal(getattr(weights, name), getattr(trained[0], name))
 
 
 def test_sweep_artifacts_and_resume(tmp_path):

@@ -185,6 +185,29 @@ def test_symmetrization_pinned_values():
     assert rep.passed and rep.n_draws == 20
 
 
+def test_sign_vector_checks_pinned_values():
+    # 24 points is past the enumeration limit, so each check samples 64 sign
+    # vectors and its standard error is nonzero.
+    grid = ConstraintGrid.random(dim=3, n_vectors=12, B=2.0, seed=7)
+    Z = np.random.default_rng(11).uniform(0, 1, (24, 3))
+    mats = [grid.vectors[[1, 4, 9]], grid.vectors[[0, 2, 5]]]
+    heads = [np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.25, 0.05])]
+    reps = [
+        check_abs_removal(grid, Z, np.tanh, c=0.5, n_draws=64, seed=3),
+        check_contraction_single(grid, Z, lambda x: 1.0 - np.tanh(x) ** 2, L_phi=0.77,
+                                 c=1.0, weight_mats=mats, heads=heads, n_draws=64, seed=3),
+        check_contraction_product(grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,
+                                  L_phi1=1.0, L_phi2=1.0, k=0.5, n_draws=64, seed=3),
+    ]
+    np.testing.assert_allclose(
+        [[r.lhs, r.rhs, r.std_error] for r in reps],
+        [[4.29971724636561, 10.089769078909, 1.0403795968752],
+         [0.04742648459838146, 0.38282440425807834, 0.02061727126524118],
+         [0.1597780841451928, 1.8826743367771994, 0.17490944231229155]],
+        rtol=1e-12, atol=0.0)
+    assert all(r.passed and not r.exact and r.n_draws == 64 for r in reps)
+
+
 def test_symmetrization_single_hypothesis_gap_near_zero():
     spec = ActivationSpec.from_name("tanh", 1)
     hyps = make_net_hypotheses(1, spec, seed=4)
