@@ -11,7 +11,7 @@ target accuracy, how many collocation points are enough?
 import math
 
 from pinnbound import (ActivationSpec, LossConfig, WeightStats, constants,
-                       generalization_bound, init_weights, moment_constants, point_ratio,
+                       generalization_bound, init_weights, moment_constants,
                        sample_planner, weight_stats)
 from pinnbound.experiment import UNIT_BOX
 
@@ -41,5 +41,7 @@ for eps in (rep.total, rep.total / 2, rep.total / 4):
     N_r, N_0 = sample_planner(eps, stats, sc, loss, C_z, C_z0)
     print(f"eps = {eps:9.3f}  ->  N_r = {N_r:8d}, N_0 = {N_0:6d}")
 
-print("\nsuggested N_r / N_0 ratio:",
-      round(point_ratio(stats, sc, loss, C_z, C_z0), 3))
+# once eps is small enough that neither count is clamped at one point, the
+# planner's N_r / N_0 is the ratio at which the two bound terms are equal
+N_r, N_0 = sample_planner(rep.total / 1000, stats, sc, loss, C_z, C_z0)
+print(f"\nplanner N_r / N_0 at eps = total / 1000: {N_r / N_0:.4g}")

@@ -6,7 +6,7 @@ Taylor-Green bound-vs-gap correlation study."""
 __version__ = "0.1.0"
 
 from .activations import ActivationSpec, Family, SigmaConstants, constants, eval_derivs, exact_constants
-from .bounds import BoundReport, WeightStats, generalization_bound, point_ratio, sample_planner, bound_constants, weight_stats
+from .bounds import BoundReport, WeightStats, generalization_bound, sample_planner, bound_constants, weight_stats
 from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenParams,
                          measure_gap, moment_constants, pearson, sample_initial,
                          sample_interior, sweep_experiment, taylor_green_field,
@@ -20,5 +20,5 @@ from .training import (OptimState, TrainConfig, adamw_step, grad_risk,
                        risk_breakdown, train)
 from .verify import (CheckReport, ConstraintGrid, RademacherEstimate,
                      check_abs_removal, check_contraction_product,
-                     check_contraction_single, check_symmetrization,
-                     rademacher_linear)
+                     check_contraction_single, check_rademacher_linear,
+                     check_symmetrization, rademacher_linear)

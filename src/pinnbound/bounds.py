@@ -150,14 +150,3 @@ def sample_planner(eps: float, stats: WeightStats, sc: SigmaConstants,
     N_r = max(1, math.ceil((2.0 * interior_coef / eps) ** 2))
     N_0 = max(1, math.ceil((2.0 * initial_coef / eps) ** 2))
     return N_r, N_0
-
-
-def point_ratio(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
-                C_z: float, C_z0: float) -> float:
-    """Suggested N_r / N_0: four times the ratio at which the two bound
-    terms are equal, i.e. four times the N_r / N_0 of `sample_planner`."""
-    _, _, interior_coef, initial_coef = _term_coefficients(
-        stats, sc, loss_cfg, C_z, C_z0, proof_variant=False)
-    if initial_coef == 0.0:
-        raise ZeroDivisionError("initial term vanishes (B_a = 0 and c0 = 0); ratio undefined")
-    return 4.0 * (interior_coef / initial_coef) ** 2

@@ -25,10 +25,9 @@ import numpy as np
 
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, TaylorGreenParams,
-                         moment_constants, sweep_experiment, sweep_row, taylor_green_initial,
-                         train_vortex)
-from .network import field_eval, init_weights, load_checkpoint, save_checkpoint
+from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, moment_constants,
+                         sweep_experiment, sweep_row, train_vortex)
+from .network import load_checkpoint, save_checkpoint
 from .residual import LossConfig
 from .training import TrainConfig
 
@@ -160,10 +159,11 @@ def _check_config(cfg: dict) -> None:
             raise UsageError(f"{path} must be {wants}, got {val!r}")
 
 
-def _settings(cfg: dict) -> SweepConfig:
+def _settings(cfg: dict, command: str) -> SweepConfig:
     """Every typed setting of a checked config, built once; the library's
     range checks become usage errors.  The sweep's config holds them all:
-    the activation, loss, training, constants override and box."""
+    the activation, loss, training, constants override and box.  Only the
+    sweep reads the `sweep` section, so the other commands take its defaults."""
     try:
         name, d = cfg["sampling"]["box"], cfg["dims"]["d"]
         box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
@@ -173,13 +173,14 @@ def _settings(cfg: dict) -> SweepConfig:
             raise ValueError(f"sampling.box must be d + 1 = {d + 1} finite increasing "
                              f"intervals, got {name!r}")
         override = cfg["bound"]["constants_override"]
+        sweep = cfg["sweep"] if command == "sweep" else DEFAULT_CONFIG["sweep"]
         return SweepConfig(
-            n_r_values=tuple(cfg["sweep"]["n_r_values"]), n_0=cfg["sampling"]["n_0"],
+            n_r_values=tuple(sweep["n_r_values"]), n_0=cfg["sampling"]["n_0"],
             width=cfg["dims"]["p"], box=box, seed=cfg["seed"],
             activation=ActivationSpec.from_name(cfg["activation"]["family"],
                                                 cfg["activation"]["k"]),
             loss=LossConfig(**cfg["loss"]), train=TrainConfig(**cfg["training"]),
-            population_factor=cfg["sweep"]["population_factor"],
+            population_factor=sweep["population_factor"],
             sigma_constants=SigmaConstants(**override) if override else None)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config: {exc}")
@@ -275,71 +276,18 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
     return 0
 
 
-def _verify_reports(cfg: dict, s: SweepConfig | None = None):
-    s = s or _settings(cfg)
-    spec, loss_cfg, v, seed = s.activation, s.loss, cfg["verify"], cfg["seed"]
-    n_points, n_draws = v["n_points"], v["n_draws"]
-    reports = []
-    rng = np.random.default_rng(seed)
-
-    for i in range(v["n_instances"]):
-        dim = int(rng.integers(2, 5))
-        Z = np.random.default_rng((seed, 1, i)).uniform(0, 1, (n_points, dim))
-        grid = verify.ConstraintGrid.random(dim, v["grid_size"], B=2.0,
-                                            seed=seed + 100 + i)
-        reports.append(verify.check_abs_removal(grid, Z, np.tanh, c=0.0,
-                                                n_draws=n_draws, seed=seed + i))
-
-        mats = [grid.vectors[np.random.default_rng((seed, 2, i, j)).integers(
-            0, len(grid.vectors), 3)] for j in range(6)]
-        heads = [np.random.default_rng((seed, 3, i, j)).uniform(-0.5, 0.5, 3)
-                 for j in range(6)]
-        sigma1 = lambda x: 1.0 - np.tanh(x) ** 2
-        reports.append(verify.check_contraction_single(
-            grid, Z, sigma1, L_phi=0.77, c=1.0, weight_mats=mats, heads=heads,
-            n_draws=n_draws, seed=seed + i))
-
-        reports.append(verify.check_contraction_product(
-            grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,
-            L_phi1=1.0, L_phi2=1.0, k=0.0, n_draws=n_draws, seed=seed + i))
-
-        est_enum = verify.rademacher_linear(Z, B=grid.B, n_draws=n_draws, seed=seed + i)
-        lin_bound = grid.B * np.sqrt(np.sum(Z * Z)) / n_points
-        reports.append(verify.CheckReport(
-            name="rademacher_linear_bound", lhs=est_enum.mean, rhs=float(lin_bound),
-            std_error=est_enum.std_error,
-            passed=est_enum.mean <= lin_bound + verify._slack(est_enum.exact, est_enum.std_error),
-            exact=est_enum.exact, n_draws=est_enum.n_draws, seed=est_enum.seed))
-
-    params = TaylorGreenParams(nu=loss_cfg.nu)
-    f0 = taylor_green_initial(params)
-
-    def sampler(r, n):
-        return r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2))
-
-    for i in range(v["sym_classes"]):
-        nets = [init_weights(2, 4, seed=seed + 50 + i * 10 + j) for j in range(3)]
-        hyps = [lambda z, w=w: field_eval(w, spec, z) for w in nets]
-        reports.append(verify.check_symmetrization(
-            hyps, loss_cfg, sampler, f0, n_points=v["sym_points"],
-            n_trials=v["sym_trials"], seed=seed + i))
-    return reports
-
-
 def cmd_verify(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
-    reports = _verify_reports(cfg, s)
+    reports = verify.suite(s.activation, s.loss, cfg["seed"], **cfg["verify"])
     by_name: dict[str, list] = {}
     for rep in reports:
         by_name.setdefault(rep.name, []).append(rep.to_dict())
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_pass = True
     for name, reps in by_name.items():
-        passed = all(r["verdict"] == "PASS" for r in reps)
-        all_pass &= passed
+        n_pass = sum(r["verdict"] == "PASS" for r in reps)
         _write_json(out_dir / f"verify_{name}.json",
-                    {"checks": reps, "all_pass": passed}, cfg)
-        _say(f"{name}: {sum(r['verdict'] == 'PASS' for r in reps)}/{len(reps)} PASS")
-    return 0 if all_pass else 3
+                    {"checks": reps, "all_pass": n_pass == len(reps)}, cfg)
+        _say(f"{name}: {n_pass}/{len(reps)} PASS")
+    return 0 if all(rep.passed for rep in reports) else 3
 
 
 _SWEEP_COLUMNS = ["N_r", "N_0", "activation", "nu", "delta", "lambda0", "lambda1",
@@ -419,7 +367,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         _check_config(cfg)
         _reject_ignored(cfg, args.command)
-        s = _settings(cfg)
+        s = _settings(cfg, args.command)
         out_dir = Path(args.out)
         if args.command == "train":
             return cmd_train(cfg, s, out_dir)

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .activations import ActivationSpec
+from .experiment import TaylorGreenParams, taylor_green_initial
+from .network import field_eval, init_weights
 from .residual import (CollocationSet, LossConfig, empirical_risk, initial_targets,
                        loss_init, loss_res)
 
@@ -83,10 +86,10 @@ class CheckReport:
                 "exact": self.exact, "n_draws": self.n_draws, "seed": self.seed}
 
 
-def _sign_vectors(n: int, n_draws: int, seed: int):
-    """(m, n) matrix of sign vectors and a flag: exhaustive (all 2^n rows,
-    in index order) when n <= 20, otherwise n_draws seeded samples."""
-    if n <= _ENUM_LIMIT:
+def _sign_vectors(n: int, n_draws: int, seed: int, force_sampling: bool = False):
+    """(m, n) matrix of sign vectors and a flag: exhaustive (all 2^n rows, in
+    index order) when n <= 20 unless forced to sample, else n_draws seeded samples."""
+    if n <= _ENUM_LIMIT and not force_sampling:
         idx = np.arange(2 ** n, dtype=np.uint64)
         bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1
         return 2.0 * bits.astype(float) - 1.0, True
@@ -128,14 +131,23 @@ def rademacher_linear(points, B: float, n_draws: int = 4000, seed: int = 0,
     n = len(Z)
     if n < 1:
         raise ValueError("need at least one point")
-    if force_sampling:
-        rng = np.random.default_rng(seed)
-        E, exact = rng.choice([-1.0, 1.0], size=(n_draws, n)), False
-    else:
-        E, exact = _sign_vectors(n, n_draws, seed)
+    E, exact = _sign_vectors(n, n_draws, seed, force_sampling)
     sups = B * np.linalg.norm(E @ Z, axis=1) / n
     mean, se = _mc_stats(sups, exact)
     return RademacherEstimate(mean=mean, std_error=se, n_draws=len(E), seed=seed, exact=exact)
+
+
+def check_rademacher_linear(points, B: float, n_draws: int = 4000,
+                            seed: int = 0) -> CheckReport:
+    """The linear-class bound: the `rademacher_linear` average is at most
+    B sqrt(sum_i ||z_i||^2) / n."""
+    Z = np.atleast_2d(np.asarray(points, dtype=float))
+    est = rademacher_linear(Z, B=B, n_draws=n_draws, seed=seed)
+    rhs = float(B * np.sqrt(np.sum(Z * Z)) / len(Z))
+    return CheckReport(name="rademacher_linear_bound", lhs=est.mean, rhs=rhs,
+                       std_error=est.std_error,
+                       passed=est.mean <= rhs + _slack(est.exact, est.std_error),
+                       exact=est.exact, n_draws=est.n_draws, seed=seed)
 
 
 def check_abs_removal(grid: ConstraintGrid, points, phi, c: float,
@@ -247,3 +259,46 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     rad_vals = (2.0 * np.max(np.einsum("htn,tn->ht", res_losses, eps_r), axis=0) / n_points
                 + 2.0 * np.max(np.einsum("htn,tn->ht", init_losses, eps_0), axis=0) / n_points)
     return _coupled_check("symmetrization", gap_vals, rad_vals, exact=False, seed=seed)
+
+
+def suite(spec: ActivationSpec, loss_cfg: LossConfig, seed: int, *, n_instances: int,
+          n_draws: int, n_points: int, grid_size: int, sym_classes: int, sym_trials: int,
+          sym_points: int) -> list[CheckReport]:
+    """The inequality suite of `pinnbound verify`.  Instance i holds
+    n_points points uniform on the unit cube of dimension 2-4 and a grid of
+    grid_size vectors with B = 2; it checks abs-value removal, single-factor
+    contraction over six 3-row tanh' layers of grid vectors, product
+    contraction and the linear bound.  Symmetrization class i holds three
+    width-4 networks of `spec` on the unit box against the Taylor-Green
+    initial condition at viscosity loss_cfg.nu."""
+    reports = []
+    rng = np.random.default_rng(seed)
+    for i in range(n_instances):
+        dim = int(rng.integers(2, 5))
+        Z = np.random.default_rng((seed, 1, i)).uniform(0, 1, (n_points, dim))
+        grid = ConstraintGrid.random(dim, grid_size, B=2.0, seed=seed + 100 + i)
+        reports.append(check_abs_removal(grid, Z, np.tanh, c=0.0,
+                                         n_draws=n_draws, seed=seed + i))
+        mats = [grid.vectors[np.random.default_rng((seed, 2, i, j)).integers(
+            0, len(grid.vectors), 3)] for j in range(6)]
+        heads = [np.random.default_rng((seed, 3, i, j)).uniform(-0.5, 0.5, 3)
+                 for j in range(6)]
+        reports.append(check_contraction_single(
+            grid, Z, lambda x: 1.0 - np.tanh(x) ** 2, L_phi=0.77, c=1.0, weight_mats=mats,
+            heads=heads, n_draws=n_draws, seed=seed + i))
+        reports.append(check_contraction_product(
+            grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,
+            L_phi1=1.0, L_phi2=1.0, k=0.0, n_draws=n_draws, seed=seed + i))
+        reports.append(check_rademacher_linear(Z, B=grid.B, n_draws=n_draws, seed=seed + i))
+
+    f0 = taylor_green_initial(TaylorGreenParams(nu=loss_cfg.nu))
+
+    def sampler(r, n):
+        return r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2))
+
+    for i in range(sym_classes):
+        nets = [init_weights(2, 4, seed=seed + 50 + i * 10 + j) for j in range(3)]
+        hyps = [lambda z, w=w: field_eval(w, spec, z) for w in nets]
+        reports.append(check_symmetrization(hyps, loss_cfg, sampler, f0, n_points=sym_points,
+                                            n_trials=sym_trials, seed=seed + i))
+    return reports

@@ -22,9 +22,9 @@ from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        momentum_residual, sample_initial, sample_interior,
                        sweep_experiment, taylor_green_field,
                        taylor_green_initial)
+from pinnbound import verify
 from pinnbound.experiment import UNIT_BOX
-from pinnbound.cli import main as cli_main
-from pinnbound.cli import resolve_config, build_parser, _verify_reports
+from pinnbound.cli import DEFAULT_CONFIG, main as cli_main
 
 from conftest import central_diff
 
@@ -136,9 +136,9 @@ def test_criterion_4_bound_arithmetic():
 
 def test_criterion_5_inequality_suite():
     t0 = time.time()
-    args = build_parser().parse_args(["verify"])
-    cfg = resolve_config(args)
-    reports = _verify_reports(cfg)
+    cfg = DEFAULT_CONFIG    # the settings of a default `pinnbound verify`
+    spec = ActivationSpec.from_name(cfg["activation"]["family"], cfg["activation"]["k"])
+    reports = verify.suite(spec, LossConfig(**cfg["loss"]), cfg["seed"], **cfg["verify"])
     by_name = {}
     for rep in reports:
         by_name.setdefault(rep.name, []).append(rep)

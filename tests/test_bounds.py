@@ -5,8 +5,7 @@ import pytest
 
 from pinnbound import (ActivationSpec, LossConfig, PinnWeights, SigmaConstants,
                        constants, generalization_bound, init_weights,
-                       point_ratio, sample_planner, bound_constants,
-                       weight_stats)
+                       sample_planner, bound_constants, weight_stats)
 
 TANH_SC = constants(ActivationSpec.from_name("tanh", 1))
 UNIT_STATS_KW = dict(B_f1=1.0, B_f2=1.0, B_f3=1.0, B_f4=1.0, B_f5=1.0,
@@ -159,22 +158,16 @@ def test_planner_rejects_bad_eps():
         sample_planner(0.0, UNIT_STATS, TANH_SC, LossConfig(), 1.0, 1.0)
 
 
-def test_point_ratio_consistency():
+def test_planner_ratio_equalizes_the_terms():
+    # The planner's N_r / N_0 is the ratio at which the two terms are equal,
+    # (interior coefficient / initial coefficient)^2, up to ceiling effects.
     cfg = LossConfig()
-    ratio = point_ratio(UNIT_STATS, TANH_SC, cfg, 1.0, SQRT_TWO_THIRDS)
     C1, C2 = bound_constants(UNIT_STATS, TANH_SC, cfg.nu, cfg.lambda0)
-    num = (1.0 * 1.0 * C1 + C2) ** 2
-    den = (cfg.lambda1 * 1.0 * (1.0 * SQRT_TWO_THIRDS * 1.0)) ** 2
-    assert ratio == pytest.approx(num / den, rel=1e-12)
-    # the planner respects the same proportions up to ceiling effects
+    interior = 2.0 * cfg.delta * (1.0 * 1.0 * C1 + C2)
+    initial = (4.0 * cfg.lambda1 * cfg.delta * 1.0
+               * (1.0 * SQRT_TWO_THIRDS * TANH_SC.L_sigma + abs(TANH_SC.c0)))
     N_r, N_0 = sample_planner(0.01, UNIT_STATS, TANH_SC, cfg, 1.0, SQRT_TWO_THIRDS)
-    assert N_r / N_0 == pytest.approx(ratio / 4.0, rel=1e-2)
-
-
-def test_point_ratio_degenerate():
-    stats = WeightStats(B_f1=1, B_f2=1, B_f3=1, B_f4=1, B_f5=1, B_w=1, B_a=0.0)
-    with pytest.raises(ZeroDivisionError):
-        point_ratio(stats, TANH_SC, LossConfig(), 1.0, 1.0)
+    assert N_r / N_0 == pytest.approx((interior / initial) ** 2, rel=1e-2)
 
 
 def test_stats_scale_homogeneity(rng):

@@ -243,7 +243,7 @@ def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "measure_gap",
                         lambda weights, *args, **kw: trained.append(weights))
     cfg = resolve_config(build_parser().parse_args(SWEEP_FAST + ["--set", "seed=4", "sweep"]))
-    experiment.sweep_row(_settings(cfg), 1)
+    experiment.sweep_row(_settings(cfg, "sweep"), 1)
     row_seed = int(np.random.default_rng((4, 1)).integers(2**31))
     out = tmp_path / "train"
     assert run(SWEEP_FAST + ["--set", "sampling.n_r=10", "--set", f"seed={row_seed}",
@@ -296,6 +296,22 @@ def test_closed_stdout_still_finishes_the_sweep(tmp_path):
 def test_sweep_needs_three_rows(tmp_path):
     assert run(["--set", "sweep.n_r_values=[5,10]",
                 "--out", str(tmp_path / "s"), "sweep"]) == 1
+
+
+@pytest.mark.parametrize("assignment", ["sweep.population_factor=1", "sweep.n_r_values=[5,6]"])
+def test_sweep_settings_stop_only_the_sweep(tmp_path, capsys, assignment):
+    # Only the sweep reads the `sweep` section: the other commands run with
+    # values that it rejects as usage errors before any output.
+    sets = TINY + ["--set", assignment]
+    ck = tmp_path / "train" / "checkpoint.json"
+    assert run(sets + ["--out", str(tmp_path / "train"), "train"]) == 0
+    assert run(sets + ["--out", str(tmp_path / "bound"), "bound", str(ck)]) == 0
+    assert run(sets + VERIFY_FAST + ["--out", str(tmp_path / "verify"), "verify"]) == 0
+    capsys.readouterr()
+    assert run(sets + ["--out", str(tmp_path / "sweep"), "sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and captured.out == ""
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_preset_figure1_changes_sampling():

@@ -13,7 +13,7 @@ from pinnbound import (ActivationSpec, CheckReport, ConstraintGrid, LossConfig,
 from pinnbound.experiment import TaylorGreenParams, taylor_green_initial
 from pinnbound.residual import (CollocationSet, empirical_risk, initial_targets,
                                 loss_init, loss_res)
-from pinnbound.verify import _mc_stats
+from pinnbound.verify import _mc_stats, suite
 
 
 def test_sign_enumeration_is_exact_and_seedless():
@@ -206,6 +206,57 @@ def test_sign_vector_checks_pinned_values():
          [0.1597780841451928, 1.8826743367771994, 0.17490944231229155]],
         rtol=1e-12, atol=0.0)
     assert all(r.passed and not r.exact and r.n_draws == 64 for r in reps)
+
+
+# (name, lhs, rhs, std_error, passed, exact, n_draws, seed) of every report
+# of the suite, as the command line built it before the suite moved here.
+SUITE_SYMMETRIZATION = [   # the same at every n_points
+    ('symmetrization', 0.12763376386329447, 0.3428331049387956, 0.13767743961432882, True, False, 20, 0),
+    ('symmetrization', 0.06395490746388419, 0.09193300915212803, 0.09528788576953666, True, False, 20, 1),
+]
+SUITE_PINNED = {
+    8: [   # enumerated signs
+        ('abs_removal', 2.7514843488406777, 5.245150304283996, 0.0, True, True, 256, 0),
+        ('contraction_single', 0.10460768282850319, 1.1285396114768131, 0.0, True, True, 256, 0),
+        ('contraction_product', 0.31794001289748774, 4.440089080372625, 0.0, True, True, 256, 0),
+        ('rademacher_linear_bound', 0.6820016214960862, 0.7601545838127061, 0.0, True, True, 256, 0),
+        ('abs_removal', 2.680912514827958, 5.107214779550194, 0.0, True, True, 256, 1),
+        ('contraction_single', 0.13104071824112706, 1.523979019299289, 0.0, True, True, 256, 1),
+        ('contraction_product', 0.3259526013537084, 4.916284882906216, 0.0, True, True, 256, 1),
+        ('rademacher_linear_bound', 0.7021505233702372, 0.8204000500025483, 0.0, True, True, 256, 1),
+        ('abs_removal', 2.282888453076345, 4.400115833649176, 0.0, True, True, 256, 2),
+        ('contraction_single', 0.12310798669869644, 1.2342503959119753, 0.0, True, True, 256, 2),
+        ('contraction_product', 0.2601130028472108, 3.647983573184476, 0.0, True, True, 256, 2),
+        ('rademacher_linear_bound', 0.5486917000634941, 0.6347779749846452, 0.0, True, True, 256, 2),
+    ] + SUITE_SYMMETRIZATION,
+    22: [  # past the enumeration limit: sampled signs
+        ('abs_removal', 4.713079130059176, 9.07377161626977, 0.1454512867581852, True, False, 200, 0),
+        ('contraction_single', 0.06264633277899417, 0.7156875789297525, 0.018182065873612756, True, False, 200, 0),
+        ('contraction_product', 0.2030865927646591, 2.8729866940272535, 0.10667579024116794, True, False, 200, 0),
+        ('rademacher_linear_bound', 0.4332776415210142, 0.48692386060405357, 0.015733688881154565, True, False, 200, 0),
+        ('abs_removal', 4.327310431291124, 8.352099736951727, 0.1740641571683471, True, False, 200, 1),
+        ('contraction_single', 0.080908366237488, 0.8814140184472299, 0.02621127307263441, True, False, 200, 1),
+        ('contraction_product', 0.18897636050357303, 2.798110447098583, 0.1242206932881631, True, False, 200, 1),
+        ('rademacher_linear_bound', 0.3964379507197808, 0.4666442069195151, 0.017810337258927902, True, False, 200, 1),
+        ('abs_removal', 4.166874407894303, 8.082344610274557, 0.1478239061519678, True, False, 200, 2),
+        ('contraction_single', 0.07559739856558072, 0.8131718031502306, 0.022380330548059046, True, False, 200, 2),
+        ('contraction_product', 0.17541357535674365, 2.5059461810833907, 0.1043930026148327, True, False, 200, 2),
+        ('rademacher_linear_bound', 0.37184676323438226, 0.42448816455044636, 0.01564550197291664, True, False, 200, 2),
+    ] + SUITE_SYMMETRIZATION,
+}
+
+
+@pytest.mark.parametrize("n_points", sorted(SUITE_PINNED))
+def test_suite_pinned_values(n_points):
+    reports = suite(ActivationSpec.from_name("tanh", 3), LossConfig(), 0, n_instances=3,
+                    n_draws=200, n_points=n_points, grid_size=40, sym_classes=2,
+                    sym_trials=20, sym_points=10)
+    got = [(r.name, r.lhs, r.rhs, r.std_error, r.passed, r.exact, r.n_draws, r.seed)
+           for r in reports]
+    want = SUITE_PINNED[n_points]
+    assert [g[:1] + g[4:] for g in got] == [w[:1] + w[4:] for w in want]
+    np.testing.assert_allclose([g[1:4] for g in got], [w[1:4] for w in want],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_symmetrization_single_hypothesis_gap_near_zero():
