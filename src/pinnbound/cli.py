@@ -21,19 +21,17 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, moment_constants,
-                         sweep_experiment, sweep_row, train_vortex)
+from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, _check_box,
+                         moment_constants, sweep_experiment, sweep_row, train_vortex)
 from .network import load_checkpoint, save_checkpoint
 from .residual import LossConfig
 from .training import TrainConfig
 
 DEFAULT_CONFIG = {
     "activation": {"family": "tanh", "k": 3},
-    "dims": {"d": 2, "p": 64},
+    "dims": {"p": 64},
     "loss": {"delta": 1.0, "lambda0": 1.0, "lambda1": 0.3, "nu": 0.01},
     "training": {"epochs": 2000, "learning_rate": 1e-3, "beta1": 0.9,
                  "beta2": 0.999, "eps_adam": 1e-8, "weight_decay": 0.01,
@@ -161,17 +159,16 @@ def _check_config(cfg: dict) -> None:
 
 def _settings(cfg: dict, command: str) -> SweepConfig:
     """Every typed setting of a checked config, built once; the library's
-    range checks become usage errors.  The sweep's config holds them all:
-    the activation, loss, training, constants override and box.  Only the
-    sweep reads the `sweep` section, so the other commands take its defaults."""
+    range checks (the box's too) become usage errors.  The sweep's config
+    holds them all: the activation, loss, training, constants override and
+    box.  Only the sweep reads the `sweep` section, so the other commands take
+    its defaults.  `train` and `sweep` solve the 2-dimensional vortex."""
     try:
-        name, d = cfg["sampling"]["box"], cfg["dims"]["d"]
+        name = cfg["sampling"]["box"]
         box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
-        lo_hi = np.asarray(box, dtype=float)   # a ragged box raises ValueError
-        if (lo_hi.shape != (d + 1, 2)
-                or not np.all(np.isfinite(lo_hi) & (lo_hi[:, :1] < lo_hi[:, 1:]))):
-            raise ValueError(f"sampling.box must be d + 1 = {d + 1} finite increasing "
-                             f"intervals, got {name!r}")
+        if len(_check_box(box)) != 3 and command in ("train", "sweep"):
+            raise ValueError(f"the vortex needs a sampling.box of three intervals "
+                             f"(x, y, t), got {name!r}")
         override = cfg["bound"]["constants_override"]
         sweep = cfg["sweep"] if command == "sweep" else DEFAULT_CONFIG["sweep"]
         return SweepConfig(
@@ -186,14 +183,13 @@ def _settings(cfg: dict, command: str) -> SweepConfig:
         raise UsageError(f"bad config: {exc}")
 
 
-def _reject_ignored(cfg: dict, command: str) -> None:
-    """Reject the settings that `command` ignores: train and sweep solve the
-    2-dimensional vortex, and the sweep takes the paper's bound with sqrt C_z
-    and the default W scale."""
-    if command in ("train", "sweep") and cfg["dims"]["d"] != 2:
-        raise UsageError("dims.d must be 2: the Taylor-Green initial condition is 2-dimensional")
-    changed = [path for path, val in _leaves(cfg).items() if val != _SCHEMA[path] and path in (
-        "bound.cz_convention", "bound.proof_variant", "sampling.w_scale")]
+def _reject_ignored(cfg: dict, command: str, preset: str | None) -> None:
+    """Reject the settings that the sweep ignores: its rows take N_r from
+    `sweep.n_r_values`, the paper's bound with sqrt C_z and the default W
+    scale.  A setting counts as given where it differs from the preset's."""
+    given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
+    changed = [path for path, val in _leaves(cfg).items() if val != given[path] and path in (
+        "bound.cz_convention", "bound.proof_variant", "sampling.n_r", "sampling.w_scale")]
     if command == "sweep" and changed:
         raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
                          "`pinnbound bound` or `train` only")
@@ -366,7 +362,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         _check_config(cfg)
-        _reject_ignored(cfg, args.command)
+        _reject_ignored(cfg, args.command, args.preset)
         s = _settings(cfg, args.command)
         out_dir = Path(args.out)
         if args.command == "train":

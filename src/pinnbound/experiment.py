@@ -71,10 +71,13 @@ def taylor_green_initial(params: TaylorGreenParams):
 
 
 def _check_box(box) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("degenerate box")
-    return box
+    """The box as a (k, 2) array of k >= 2 finite increasing [low, high]
+    intervals, time last; raises ValueError for anything else."""
+    lo_hi = np.asarray(box, dtype=float)   # a ragged box raises ValueError
+    if (lo_hi.ndim != 2 or lo_hi.shape[0] < 2 or lo_hi.shape[1] != 2
+            or not np.all(np.isfinite(lo_hi) & (lo_hi[:, :1] < lo_hi[:, 1:]))):
+        raise ValueError(f"a box must be k >= 2 finite increasing intervals, got {box!r}")
+    return lo_hi
 
 
 def sample_interior(n: int, box, seed: int) -> np.ndarray:

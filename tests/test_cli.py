@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import io
 import json
 import math
@@ -18,8 +17,8 @@ from pinnbound import (ActivationSpec, LossConfig, constants,
                        generalization_bound, init_weights, load_checkpoint,
                        moment_constants, save_checkpoint, weight_stats)
 from pinnbound import experiment
-from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, build_parser, main, resolve_config,
-                           _apply_set, _check_config, _settings)
+from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, UsageError, build_parser, main,
+                           resolve_config, _apply_set, _check_config, _reject_ignored, _settings)
 from pinnbound.experiment import UNIT_BOX
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -308,7 +307,8 @@ def test_sweep_settings_stop_only_the_sweep(tmp_path, capsys, assignment):
     assert run(sets + ["--out", str(tmp_path / "bound"), "bound", str(ck)]) == 0
     assert run(sets + VERIFY_FAST + ["--out", str(tmp_path / "verify"), "verify"]) == 0
     capsys.readouterr()
-    assert run(sets + ["--out", str(tmp_path / "sweep"), "sweep"]) == 1
+    # SWEEP_FAST, not TINY: the sweep also rejects TINY's sampling.n_r
+    assert run(SWEEP_FAST + ["--set", assignment, "--out", str(tmp_path / "sweep"), "sweep"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and captured.out == ""
     assert not (tmp_path / "sweep").exists()
@@ -411,6 +411,7 @@ def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, as
     ("bogus_section.x=1", "train", "bogus_section"),
     ("verify.bogus=3", "verify", "verify.bogus"),
     ("bound.moment_sample=1", "sweep", "bound.moment_sample"),   # gone: C_z is exact
+    ("dims.d=2", "train", "dims.d"),                    # gone: the vortex is 2-dimensional
 ])
 def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, assignment,
                                                              command, key):
@@ -424,14 +425,19 @@ def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, a
 
 @pytest.mark.parametrize("assignment, command", [
     ("sampling.box=[[0,1],[0,1]]", "bound"),                # 2 axes for d = 2
-    ("dims.d=1 sampling.box=[[0,1],[0,1]]", "bound"),       # 2 axes, but a d = 2 checkpoint
+    # the vortex has three axes (x, y, t)
+    pytest.param("sampling.box=[[0,1],[0,1],[0,1],[0,1]]", "train", id="four_axis_box-train"),
+    pytest.param("sampling.box=[[0,1],[0,1],[0,1],[0,1]]", "sweep", id="four_axis_box-sweep"),
     ("sampling.box=[[0,1],[0,1],[1,0]]", "bound"),          # a degenerate interval
     ("sampling.box=[[0,1],[0,1],[1,0]]", "sweep"),
     ("sampling.box=[[0,1],[0],[0,1]]", "sweep"),            # a ragged box
+    ("sampling.box=[[0,1],[0,Infinity],[0,1]]", "train"),
+    ("sampling.box=[[0,1],[0,1],[0,NaN]]", "bound"),
+    ("sampling.box=[[0,1,2],[0,1,2],[0,1,2]]", "train"),    # three columns
     ("sampling.box=[[0,1],[0,1]]", "sweep"),
     ("sampling.w_scale=abc", "sweep"),
     ("sampling.w_scale=0.5", "sweep"),                      # the sweep ignores it
-    ("dims.d=3", "sweep"),
+    ("sampling.n_r=7", "sweep"),                            # rows take sweep.n_r_values
     ('loss={"nu":0.5}', "train"),                           # a section missing three keys
     ('training={"epochs":20,"log_every":10}', "bound"),
 ])
@@ -450,10 +456,19 @@ def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, ass
 
 @pytest.mark.parametrize("preset", [None] + sorted(PRESETS))
 def test_default_config_and_presets_pass_the_schema(preset):
-    if preset is None:
-        _check_config(copy.deepcopy(DEFAULT_CONFIG))
-    else:
-        _check_config(resolve_config(build_parser().parse_args(["--preset", preset, "train"])))
+    # every check that runs before a command, for every command
+    for command in (["train"], ["bound", "ck.json"], ["verify"], ["sweep"]):
+        preset_args = ["--preset", preset] if preset else []
+        cfg = resolve_config(build_parser().parse_args(preset_args + command))
+        if preset is None:
+            assert cfg == DEFAULT_CONFIG
+        _check_config(cfg)
+        _reject_ignored(cfg, command[0], preset)
+        _settings(cfg, command[0])
+    # the sweep's rows ignore sampling.n_r: it is refused where it is not the preset's
+    cfg["sampling"]["n_r"] = 7
+    with pytest.raises(UsageError, match="sampling.n_r"):
+        _reject_ignored(cfg, "sweep", preset)
 
 
 _NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
@@ -493,5 +508,6 @@ def test_config_outside_the_schema_is_usage_error(command, case):
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run(argv + [str(ck)] if command == "bound" else argv)
         assert (code, stdout.getvalue()) == (1, "")
-        assert stderr.getvalue().startswith("usage error:")
+        # named: the sweep also rejects TINY's sampling.n_r, but only after the schema
+        assert stderr.getvalue().startswith("usage error:") and path in stderr.getvalue()
         assert not out.exists()

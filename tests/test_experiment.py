@@ -109,6 +109,21 @@ def test_samplers_respect_box_and_seed():
         sample_interior(5, ((0, 0), (0, 1), (0, 1)), seed=0)
 
 
+@pytest.mark.parametrize("box", [
+    ((0, 1), (0, math.inf), (0, 1)),
+    ((0, 1), (0, 1), (math.nan, 1)),
+    ((0, 1), (0,), (0, 1)),                     # ragged
+    ((0, 1, 2), (0, 1, 2), (0, 1, 2)),          # three columns
+    ((0, 1),),                                  # no space axis
+    (0, 1),                                     # one interval, not a list of them
+], ids=["inf", "nan", "ragged", "three_columns", "one_axis", "flat"])
+def test_a_box_is_finite_increasing_intervals(box):
+    with pytest.raises(ValueError):
+        sample_interior(5, box, seed=0)
+    with pytest.raises(ValueError):
+        moment_constants(box)
+
+
 # Boxes with E ||z||^2 and E ||x||^2 worked by hand, E z^2 = (a^2 + ab + b^2)/3 per axis.
 MOMENT_CASES = [
     (UNIT_BOX, Fraction(1), Fraction(2, 3)),
