@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -90,9 +91,13 @@ def resolve_config(args) -> dict:
     if args.config:
         try:
             with open(args.config) as fh:
-                _deep_update(cfg, json.load(fh))
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(doc, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object, "
+                             f"not a {type(doc).__name__}")
+        _deep_update(cfg, doc)
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
     return cfg
@@ -298,30 +303,43 @@ def _row_csv_record(cfg: dict, row: dict) -> list:
     return [vals[k] for k in _SWEEP_COLUMNS]
 
 
-def _cached_sweep_row(cfg: dict, out_dir: Path):
-    """`sweep_row` behind one file per row.  A row file is reused only
-    when the config embedded in it equals `cfg`; otherwise the row is
-    computed again and its file overwritten."""
-    def row(sweep_cfg: SweepConfig, idx: int) -> GapReport:
-        n_r = sweep_cfg.n_r_values[idx]
-        path = out_dir / f"row_{idx:02d}_nr{n_r}.json"
+def _row_path(out_dir: Path, s: SweepConfig, idx: int) -> Path:
+    return out_dir / f"row_{idx:02d}_nr{s.n_r_values[idx]}.json"
+
+
+def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
+    """Index -> GapReport of the rows whose files hold `cfg`.  A row file is
+    reused only when the config embedded in it equals `cfg`; any other row
+    is computed again and its file overwritten."""
+    cached = {}
+    for idx in range(len(s.n_r_values)):
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(_row_path(out_dir, s, idx).read_text())
         except (OSError, ValueError):
-            doc = {}
-        if doc.get("config") == cfg:
-            _say(f"N_r={n_r}: cached")
-            return GapReport.from_dict(doc["row"])
-        report = sweep_row(sweep_cfg, idx)
-        _write_json(path, {"row": report.to_dict()}, cfg)
-        _say(f"N_r={n_r}: gap={report.gap:.4g} bound={report.bound.total:.4g}")
-        return report
-    return row
+            continue
+        if isinstance(doc, dict) and doc.get("config") == cfg:
+            cached[idx] = GapReport.from_dict(doc["row"])
+    return cached
+
+
+def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapReport:
+    """`sweep_row`, written to its row file (in a sweep worker)."""
+    report = sweep_row(s, idx)
+    _write_json(_row_path(out_dir, s, idx), {"row": report.to_dict()}, cfg)
+    return report
 
 
 def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = sweep_experiment(s, _cached_sweep_row(cfg, out_dir))
+    cached = _cached_rows(cfg, s, out_dir)
+
+    def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
+        if idx in cached:
+            _say(f"N_r={s.n_r_values[idx]}: cached")
+        elif isinstance(row, GapReport):
+            _say(f"N_r={s.n_r_values[idx]}: gap={row.gap:.4g} bound={row.bound.total:.4g}")
+
+    report = sweep_experiment(s, functools.partial(_computed_row, cfg, out_dir), cached, progress)
     for fail in report.failed_rows:
         print(f"N_r={fail['N_r']}: training diverged ({fail['error']})", file=sys.stderr)
     doc = report.to_dict()
@@ -365,6 +383,10 @@ def main(argv=None) -> int:
         _reject_ignored(cfg, args.command, args.preset)
         s = _settings(cfg, args.command)
         out_dir = Path(args.out)
+        # the commands create --out; its first existing ancestor must be a directory
+        first = next((path for path in (out_dir, *out_dir.parents) if path.exists()), out_dir)
+        if not first.is_dir():
+            raise UsageError(f"--out {out_dir}: {first} is not a directory")
         if args.command == "train":
             return cmd_train(cfg, s, out_dir)
         if args.command == "bound":

@@ -12,7 +12,11 @@ zero-loss reference field in tests.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +77,10 @@ def taylor_green_initial(params: TaylorGreenParams):
 def _check_box(box) -> np.ndarray:
     """The box as a (k, 2) array of k >= 2 finite increasing [low, high]
     intervals, time last; raises ValueError for anything else."""
-    lo_hi = np.asarray(box, dtype=float)   # a ragged box raises ValueError
+    try:
+        lo_hi = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):          # ragged, or not numbers
+        lo_hi = np.empty(0)
     if (lo_hi.ndim != 2 or lo_hi.shape[0] < 2 or lo_hi.shape[1] != 2
             or not np.all(np.isfinite(lo_hi) & (lo_hi[:, :1] < lo_hi[:, 1:]))):
         raise ValueError(f"a box must be k >= 2 finite increasing intervals, got {box!r}")
@@ -238,20 +245,71 @@ def correlate(bound_totals, gaps) -> float | None:
         return None
 
 
-def sweep_experiment(cfg: SweepConfig, row=None) -> CorrelationReport:
+def _row_or_error(row, cfg: SweepConfig, idx: int):
+    """(idx, row(cfg, idx)), or (idx, the RuntimeError) if the row diverged."""
+    try:
+        return idx, row(cfg, idx)
+    except RuntimeError as exc:
+        return idx, exc
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> CorrelationReport:
     """Train one net per N_r, measure its gap, evaluate its bound, and
     correlate bound against gap across the rows.
 
-    `row(cfg, idx)` computes one row (default `sweep_row`, which a cache may
-    wrap).  Rows whose training diverges are recorded in failed_rows and excluded.
+    `row(cfg, idx)` computes one row (default `sweep_row`); `cached` maps
+    the indices of rows already known to their GapReports, which are not
+    computed again.  `progress(idx, result)` sees each row in index order
+    as soon as it and every row before it are known: its GapReport or, if
+    its training diverged, its RuntimeError.  Diverged rows are recorded in
+    failed_rows and excluded from the correlation.
+
+    Rows share nothing (their seeds come from (cfg.seed, idx)), so the ones
+    to compute run in forked workers, one per CPU in this process's
+    affinity and no more than there are such rows, largest N_r first;
+    `row` must then be picklable, e.g. a functools.partial of a module
+    function.  With one CPU or one row they run here in index order
+    (`taskset -c 0` gives a serial sweep).  Forking is safe: numpy's
+    OpenBLAS shuts its thread pool down before a fork, and buffered output
+    is flushed first so no line is written twice.  Workers ignore SIGINT;
+    Ctrl-C, or a row's exception other than RuntimeError, stops them all.
     """
-    row = row or sweep_row
-    rows: list[GapReport] = []
-    failed: list[dict] = []
-    for idx, n_r in enumerate(cfg.n_r_values):
-        try:
-            rows.append(row(cfg, idx))
-        except RuntimeError as exc:
-            failed.append({"N_r": int(n_r), "index": idx, "error": str(exc)})
+    job = functools.partial(_row_or_error, row or sweep_row, cfg)
+    results = dict(cached or {})
+    todo = [idx for idx in range(len(cfg.n_r_values)) if idx not in results]
+    workers = min(len(todo), _cpus())
+    shown = 0
+
+    def show_known_rows():
+        nonlocal shown
+        while shown in results:
+            if progress:
+                progress(shown, results[shown])
+            shown += 1
+
+    show_known_rows()
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            finished = map(job, todo)
+        else:
+            import multiprocessing   # here, so that a serial sweep skips its import
+            import signal
+            todo.sort(key=lambda idx: -cfg.n_r_values[idx])
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
+                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
+            finished = pool.imap_unordered(job, todo)
+        for idx, result in finished:
+            results[idx] = result
+            show_known_rows()
+    rows = [res for _, res in sorted(results.items()) if isinstance(res, GapReport)]
+    failed = [{"N_r": int(cfg.n_r_values[idx]), "index": idx, "error": str(res)}
+              for idx, res in sorted(results.items()) if not isinstance(res, GapReport)]
     r = correlate([row.bound.total for row in rows], [row.gap for row in rows])
     return CorrelationReport(rows=rows, pearson_r=r, failed_rows=failed)

@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 from pinnbound import (ActivationSpec, LossConfig, constants,
                        generalization_bound, init_weights, load_checkpoint,
                        moment_constants, save_checkpoint, weight_stats)
-from pinnbound import experiment
+from pinnbound import cli, experiment
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, UsageError, build_parser, main,
                            resolve_config, _apply_set, _check_config, _reject_ignored, _settings)
 from pinnbound.experiment import UNIT_BOX
@@ -360,6 +364,140 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     assert [row["N_r"] for row in doc["failed_rows"]] == [5, 10, 20]
 
 
+_REAL_FORK = os.fork
+
+
+def _on_cpus(monkeypatch, n: int) -> list:
+    """Show the sweep n CPUs in its affinity; return the list of the pids it forks."""
+    forks = []
+
+    def fork():
+        pid = _REAL_FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _files(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_sweep_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+    made = {}
+    for n in (1, 2):
+        forks = _on_cpus(monkeypatch, n)
+        assert run(SWEEP_FAST + ["--out", str(tmp_path / str(n)), "sweep"]) == 0
+        assert len(forks) == (0 if n == 1 else 2)
+        assert multiprocessing.active_children() == []
+        made[n] = _files(tmp_path / str(n)), capsys.readouterr()
+    assert made[1] == made[2]
+    assert [line.split(":")[0] for line in made[2][1].out.splitlines()[:3]] == [
+        "N_r=5", "N_r=10", "N_r=20"]
+    assert len(made[2][0]) == 6      # three row files, sweep.json, sweep.csv, bound_vs_gap.dat
+
+
+def test_cached_sweep_rows_start_no_worker_and_print_in_index_order(tmp_path, monkeypatch,
+                                                                   capsys):
+    out = tmp_path / "sweep"
+    _on_cpus(monkeypatch, 2)
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    forks = _on_cpus(monkeypatch, 2)
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert forks == []
+    assert capsys.readouterr().out.splitlines() == [
+        "N_r=5: cached", "N_r=10: cached", "N_r=20: cached", first[-1]]
+    # two rows to compute around a cached one: two workers, lines still in index order
+    (out / "row_00_nr5.json").unlink()
+    (out / "row_02_nr20.json").unlink()
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert len(forks) == 2
+    assert capsys.readouterr().out.splitlines() == [first[0], "N_r=10: cached"] + first[2:]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_rows_diverged_in_workers_are_failed_rows_in_index_order(tmp_path,
+                                                                       monkeypatch):
+    forks = _on_cpus(monkeypatch, 2)
+    out = tmp_path / "div"
+    assert run(SWEEP_FAST + DIVERGENT + ["--out", str(out), "sweep"]) == 2
+    assert len(forks) == 2
+    doc = json.loads((out / "sweep.json").read_text())
+    assert doc["rows"] == []
+    assert [(row["index"], row["N_r"]) for row in doc["failed_rows"]] == [(0, 5), (1, 10), (2, 20)]
+    assert multiprocessing.active_children() == []
+
+
+def test_floating_point_error_in_a_sweep_worker_is_exit_2(tmp_path, monkeypatch, capsys):
+    def overflow(s, idx):
+        raise FloatingPointError("overflow in a row")
+
+    forks = _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "sweep_row", overflow)
+    assert run(SWEEP_FAST + ["--out", str(tmp_path / "fpe"), "sweep"]) == 2
+    assert len(forks) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: overflow in a row" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+_INTERRUPTED_SWEEP = """
+import os, sys
+real_fork = os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        os.write(2, b"forked\\n")
+    return pid
+os.fork = fork
+os.sched_getaffinity = lambda pid: {0, 1}
+from pinnbound.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
+    # Ctrl-C sends SIGINT to the whole process group; the sweep's own group
+    # must be empty once the command has exited.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    long_rows = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
+                 "--set", "dims.p=4", "--set", "training.epochs=1000000"]
+    proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_SWEEP, *long_rows,
+                             "--out", str(tmp_path / "sweep"), "sweep"],
+                            stderr=subprocess.PIPE, env=env, start_new_session=True)
+    try:
+        # both workers started: one line per fork, each within 30 s
+        seen = b""
+        while seen.count(b"forked\n") < 2:
+            assert select.select([proc.stderr], [], [], 30)[0], f"no worker was forked: {seen}"
+            chunk = os.read(proc.stderr.fileno(), 4096)
+            assert chunk, f"the sweep ended before it forked: {seen}"
+            seen += chunk
+        time.sleep(0.5)                     # the workers are training
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stderr.close()
+    assert proc.returncode != 0
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break                           # no process is left in the group
+        assert time.monotonic() < deadline, "a sweep worker outlived the command"
+        time.sleep(0.05)
+
+
 @pytest.mark.parametrize("assignment, command", [
     ("dims.p=abc", "train"),
     ("sampling.n_r=0", "train"),
@@ -451,6 +589,39 @@ def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, ass
     assert run(SWEEP_FAST + sets + ["--out", str(out)] + cmd) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and captured.out == ""
+    assert not out.exists()
+
+
+def test_ragged_box_names_the_box_rule(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert run(TINY + ["--set", "sampling.box=[[0,1],[0],[0,1]]", "--out", str(out), "train"]) == 1
+    err = capsys.readouterr().err
+    assert "a box must be k >= 2 finite increasing intervals" in err
+    assert "inhomogeneous" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, below", [("sweep", ""), ("train", "sub"), ("verify", "a/b")])
+def test_out_that_cannot_be_a_directory_is_usage_error_before_any_work(tmp_path, capsys,
+                                                                       command, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    assert run(SWEEP_FAST + VERIFY_FAST + ["--out", str(out), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --out") and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"desk"'])
+def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc):
+    conf = tmp_path / "c.json"
+    conf.write_text(doc)
+    out = tmp_path / "out"
+    assert run(["--config", str(conf), "--out", str(out), "train"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "JSON object" in err
     assert not out.exists()
 
 
