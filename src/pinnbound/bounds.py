@@ -42,31 +42,24 @@ class BoundReport:
     term_initial: float
     N_r: int
     N_0: int
-    stats: WeightStats
-    sigma: SigmaConstants
-    loss_cfg: LossConfig
+    weight_stats: WeightStats
+    sigma_constants: SigmaConstants
+    loss: LossConfig
 
     @property
     def total(self) -> float:
         return self.term_interior + self.term_initial
 
     def to_dict(self) -> dict:
-        return {
-            "C1": self.C1, "C2": self.C2, "C_z": self.C_z, "C_z0": self.C_z0,
-            "term_interior": self.term_interior, "term_initial": self.term_initial,
-            "total": self.total, "N_r": self.N_r, "N_0": self.N_0,
-            "weight_stats": asdict(self.stats),
-            "sigma_constants": asdict(self.sigma),
-            "loss": asdict(self.loss_cfg),
-        }
+        return {**asdict(self), "total": self.total}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoundReport":
         """Inverse of to_dict."""
         keys = ("C1", "C2", "C_z", "C_z0", "term_interior", "term_initial", "N_r", "N_0")
-        return cls(stats=WeightStats(**doc["weight_stats"]),
-                   sigma=SigmaConstants(**doc["sigma_constants"]),
-                   loss_cfg=LossConfig(**doc["loss"]), **{k: doc[k] for k in keys})
+        return cls(weight_stats=WeightStats(**doc["weight_stats"]),
+                   sigma_constants=SigmaConstants(**doc["sigma_constants"]),
+                   loss=LossConfig(**doc["loss"]), **{k: doc[k] for k in keys})
 
 
 def weight_stats(weights: PinnWeights) -> WeightStats:
@@ -135,7 +128,7 @@ def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossC
         C1=C1, C2=C2, C_z=C_z, C_z0=C_z0,
         term_interior=interior_coef / math.sqrt(N_r),
         term_initial=initial_coef / math.sqrt(N_0),
-        N_r=N_r, N_0=N_0, stats=stats, sigma=sc, loss_cfg=loss_cfg,
+        N_r=N_r, N_0=N_0, weight_stats=stats, sigma_constants=sc, loss=loss_cfg,
     )
 
 

@@ -6,8 +6,9 @@ resolved config and the artifact version string, and contains no
 timestamps, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure.  A closed stdout drops the rest of the report
-and changes neither the work, the artifacts nor the exit code.
+3 verification failure, 130 interrupted (Ctrl-C).  A closed stdout drops
+the rest of the report and changes neither the work, the artifacts nor
+the exit code.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
             fh.write(f"{row['bound']['total']!r} {row['gap']!r}\n")
     _write_json(out_dir / "sweep.json", doc, cfg)
     r = report.pearson_r
-    _say(f"pearson_r = {r}" if r is not None else "pearson_r undefined (constant column)")
+    _say(f"pearson_r = {r}" if r is not None
+         else "pearson_r undefined (fewer than 3 rows or a constant column)")
     return 2 if report.failed_rows and not report.rows else 0
 
 
@@ -400,6 +402,9 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

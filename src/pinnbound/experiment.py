@@ -13,11 +13,10 @@ zero-loss reference field in tests.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,13 +110,14 @@ def moment_constants(box) -> tuple[float, float]:
     return math.sqrt(sum(moments)), math.sqrt(sum(moments[:-1]))
 
 
-def pearson(xs, ys) -> float:
+def pearson(xs, ys) -> float | None:
+    """Pearson r, or None where it is undefined: under 3 pairs, or a constant column."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if len(xs) != len(ys) or len(xs) < 3:
-        raise ValueError("need >= 3 paired values")
-    if np.std(xs) == 0.0 or np.std(ys) == 0.0:
-        raise ValueError("correlation undefined for constant input")
+    if len(xs) != len(ys):
+        raise ValueError("need paired values")
+    if len(xs) < 3 or np.std(xs) == 0.0 or np.std(ys) == 0.0:
+        return None
     return float(np.corrcoef(xs, ys)[0, 1])
 
 
@@ -136,10 +136,7 @@ class GapReport:
         return abs(self.train_risk - self.population_estimate)
 
     def to_dict(self) -> dict:
-        return {"N_r": self.N_r, "N_0": self.N_0, "train_risk": self.train_risk,
-                "population_estimate": self.population_estimate,
-                "population_points": self.population_points, "gap": self.gap,
-                "bound": self.bound.to_dict(), "seed": self.seed}
+        return {**asdict(self), "gap": self.gap, "bound": self.bound.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GapReport":
@@ -204,9 +201,7 @@ class CorrelationReport:
     failed_rows: list
 
     def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows],
-                "pearson_r": self.pearson_r,
-                "failed_rows": self.failed_rows}
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
 
 def train_vortex(cfg: SweepConfig, n_r: int, seed: int, w_scale: float | None = None):
@@ -236,21 +231,13 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
                        sigma_constants=cfg.sigma_constants)
 
 
-def correlate(bound_totals, gaps) -> float | None:
-    """Pearson r, or None when it is undefined (constant column or too
-    few rows)."""
-    try:
-        return pearson(bound_totals, gaps)
-    except ValueError:
-        return None
-
-
 def _row_or_error(row, cfg: SweepConfig, idx: int):
-    """(idx, row(cfg, idx)), or (idx, the RuntimeError) if the row diverged."""
+    """row(cfg, idx), or what it raised: a RuntimeError if the row diverged,
+    an ArithmeticError if it failed in a way that ends the sweep."""
     try:
-        return idx, row(cfg, idx)
-    except RuntimeError as exc:
-        return idx, exc
+        return row(cfg, idx)
+    except (RuntimeError, ArithmeticError) as exc:
+        return exc
 
 
 def _cpus() -> int:
@@ -270,46 +257,53 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     failed_rows and excluded from the correlation.
 
     Rows share nothing (their seeds come from (cfg.seed, idx)), so the ones
-    to compute run in forked workers, one per CPU in this process's
-    affinity and no more than there are such rows, largest N_r first;
+    to compute are dispatched, largest N_r first, to forked workers, one per
+    CPU in this process's affinity and no more than there are such rows;
     `row` must then be picklable, e.g. a functools.partial of a module
-    function.  With one CPU or one row they run here in index order
-    (`taskset -c 0` gives a serial sweep).  Forking is safe: numpy's
+    function.  The rows are then awaited in index order.  With one CPU or
+    one row to compute, nothing is forked and each row runs here in its
+    turn (`taskset -c 0` gives a serial sweep).  Forking is safe: numpy's
     OpenBLAS shuts its thread pool down before a fork, and buffered output
-    is flushed first so no line is written twice.  Workers ignore SIGINT;
-    Ctrl-C, or a row's exception other than RuntimeError, stops them all.
+    is flushed first so no line is written twice.  Workers ignore SIGINT,
+    and Ctrl-C stops them all.  A row's ArithmeticError (FloatingPointError,
+    OverflowError) ends the sweep: it is raised once the rows handed to
+    workers are back.
     """
-    job = functools.partial(_row_or_error, row or sweep_row, cfg)
-    results = dict(cached or {})
-    todo = [idx for idx in range(len(cfg.n_r_values)) if idx not in results]
+    row = row or sweep_row
+    cached = cached or {}
+    todo = [idx for idx in range(len(cfg.n_r_values)) if idx not in cached]
     workers = min(len(todo), _cpus())
-    shown = 0
-
-    def show_known_rows():
-        nonlocal shown
-        while shown in results:
-            if progress:
-                progress(shown, results[shown])
-            shown += 1
-
-    show_known_rows()
+    dispatched = {}
+    results = []
     with contextlib.ExitStack() as stack:
-        if workers <= 1:
-            finished = map(job, todo)
-        else:
+        if workers > 1:
             import multiprocessing   # here, so that a serial sweep skips its import
             import signal
-            todo.sort(key=lambda idx: -cfg.n_r_values[idx])
             sys.stdout.flush()
             sys.stderr.flush()
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
                 workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
-            finished = pool.imap_unordered(job, todo)
-        for idx, result in finished:
-            results[idx] = result
-            show_known_rows()
-    rows = [res for _, res in sorted(results.items()) if isinstance(res, GapReport)]
+            dispatched = {idx: pool.apply_async(_row_or_error, (row, cfg, idx))
+                          for idx in sorted(todo, key=lambda idx: -cfg.n_r_values[idx])}
+            pool.close()
+        for idx in range(len(cfg.n_r_values)):
+            if idx in dispatched:
+                results.append(dispatched[idx].get())
+            else:
+                results.append(cached[idx] if idx in cached else _row_or_error(row, cfg, idx))
+            if isinstance(results[idx], ArithmeticError):
+                break
+            if progress:
+                progress(idx, results[idx])
+        if dispatched:
+            # let the workers finish and leave before the pool's exit kills them:
+            # one killed while it sends a result keeps the result queue locked,
+            # and the exit then hangs
+            pool.join()
+    if isinstance(results[-1], ArithmeticError):
+        raise results[-1]
+    rows = [res for res in results if isinstance(res, GapReport)]
     failed = [{"N_r": int(cfg.n_r_values[idx]), "index": idx, "error": str(res)}
-              for idx, res in sorted(results.items()) if not isinstance(res, GapReport)]
-    r = correlate([row.bound.total for row in rows], [row.gap for row in rows])
+              for idx, res in enumerate(results) if not isinstance(res, GapReport)]
+    r = pearson([rep.bound.total for rep in rows], [rep.gap for rep in rows])
     return CorrelationReport(rows=rows, pearson_r=r, failed_rows=failed)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from pinnbound import (ActivationSpec, LossConfig, constants,
 from pinnbound import cli, experiment
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, UsageError, build_parser, main,
                            resolve_config, _apply_set, _check_config, _reject_ignored, _settings)
-from pinnbound.experiment import UNIT_BOX
+from pinnbound.experiment import UNIT_BOX, SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY = ["--set", "training.epochs=20", "--set", "dims.p=4",
@@ -364,6 +365,22 @@ def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     assert [row["N_r"] for row in doc["failed_rows"]] == [5, 10, 20]
 
 
+def test_sweep_of_two_rows_left_says_why_r_is_undefined(tmp_path, monkeypatch, capsys):
+    def first_row_diverges(s, idx):
+        if idx == 0:
+            raise RuntimeError("row 0 diverged")
+        return experiment.sweep_row(s, idx)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "sweep_row", first_row_diverges)
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert len({row["gap"] for row in rows}) == len({row["bound"]["total"] for row in rows}) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "pearson_r undefined (fewer than 3 rows or a constant column)")
+
+
 _REAL_FORK = os.fork
 
 
@@ -481,13 +498,14 @@ def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
             seen += chunk
         time.sleep(0.5)                     # the workers are training
         os.killpg(proc.pid, signal.SIGINT)
-        proc.wait(timeout=60)
+        rest = proc.communicate(timeout=60)[1]
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         proc.stderr.close()
-    assert proc.returncode != 0
+    assert proc.returncode == 130
+    assert b"Traceback" not in seen + rest and rest.endswith(b"interrupted\n")
     deadline = time.monotonic() + 10
     while True:
         try:
@@ -623,6 +641,13 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc)
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "JSON object" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
+def test_default_config_gives_the_library_defaults(command):
+    # the loss, training and sweep defaults are written in DEFAULT_CONFIG and
+    # in the dataclasses: the two copies must agree
+    assert _settings(copy.deepcopy(DEFAULT_CONFIG), command) == SweepConfig()
 
 
 @pytest.mark.parametrize("preset", [None] + sorted(PRESETS))

@@ -1,4 +1,8 @@
+import functools
 import math
+import multiprocessing
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +14,7 @@ from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
                        risk_breakdown, sample_initial, sample_interior, sweep_experiment,
                        taylor_green_field, taylor_green_initial)
 from pinnbound import experiment, training
-from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, correlate, sweep_row
+from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, sweep_row
 from pinnbound.residual import loss_res, momentum_residual
 
 PI = math.pi
@@ -151,11 +155,12 @@ def test_pearson_reference_cases():
     assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
     assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
     assert pearson([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
+    # undefined: too few pairs, or a constant column
+    assert pearson([1, 2], [1, 2]) is None
+    assert pearson([1, 1, 1], [1, 2, 3]) is None
+    assert pearson([1, 2, 3], [5, 5, 5]) is None
     with pytest.raises(ValueError):
-        pearson([1, 2], [1, 2])
-    with pytest.raises(ValueError):
-        pearson([1, 1, 1], [1, 2, 3])
-    assert correlate([1, 1, 1], [1, 2, 3]) is None
+        pearson([1, 2, 3], [1, 2])
 
 
 def test_measure_gap_zero_weight_network():
@@ -216,6 +221,54 @@ def test_sweep_experiment_end_to_end():
     again = sweep_experiment(cfg)
     assert [row.gap for row in again.rows] == [row.gap for row in report.rows]
     assert again.pearson_r == report.pearson_r
+
+
+def _row_waiting_for_row_0(marker, cfg, idx):
+    """Rows 0 and 1 diverge at once; row 2 diverges once `marker` exists."""
+    if idx < 2:
+        raise RuntimeError(f"row {idx}")
+    deadline = time.monotonic() + 30
+    while not os.path.exists(marker):
+        if time.monotonic() > deadline:
+            raise RuntimeError("row 0 was not reported while row 2 ran")
+        time.sleep(0.01)
+    raise RuntimeError("saw row 0")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_reports_a_row_before_the_later_rows_finish(tmp_path, monkeypatch, cpus):
+    # progress for row 0 writes the marker that row 2 waits for: a sweep that
+    # held its reports until every row was done would let row 2 time out
+    marker = tmp_path / "row_0_reported"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def progress(idx, result):
+        if idx == 0:
+            marker.touch()
+
+    report = sweep_experiment(tiny_sweep_config(),
+                              functools.partial(_row_waiting_for_row_0, str(marker)),
+                              progress=progress)
+    assert report.rows == [] and report.pearson_r is None
+    assert report.failed_rows[2]["error"] == "saw row 0"
+    assert multiprocessing.active_children() == []
+
+
+def _overflowing_row(cfg, idx):
+    raise OverflowError(f"row {idx} overflowed")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_ends_at_the_first_rows_arithmetic_error_and_leaves_no_worker(monkeypatch, cpus):
+    # every row fails, and the one raised is the first in row order, however
+    # many workers ran them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    seen = []
+    with pytest.raises(OverflowError, match="row 0 overflowed"):
+        sweep_experiment(tiny_sweep_config(), _overflowing_row,
+                         progress=lambda idx, result: seen.append(idx))
+    assert seen == []
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_row_scores_its_training_set_once(monkeypatch):
