@@ -108,26 +108,17 @@ def bound_constants(stats: WeightStats, sc: SigmaConstants, nu: float,
     return C1, C2
 
 
-def _term_coefficients(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
-                       C_z: float, C_z0: float, proof_variant: bool) -> tuple[float, float, float, float]:
-    C1, C2 = bound_constants(stats, sc, loss_cfg.nu, loss_cfg.lambda0, proof_variant)
-    interior_coef = 2.0 * loss_cfg.delta * (stats.B_w * C_z * C1 + C2)
-    initial_coef = (4.0 * loss_cfg.lambda1 * loss_cfg.delta * stats.B_a
-                    * (stats.B_w * C_z0 * sc.L_sigma + abs(sc.c0)))
-    return C1, C2, interior_coef, initial_coef
-
-
 def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
                          N_r: int, N_0: int, C_z: float, C_z0: float,
                          proof_variant: bool = False) -> BoundReport:
     if N_r < 1 or N_0 < 1:
         raise ValueError("N_r and N_0 must be >= 1")
-    C1, C2, interior_coef, initial_coef = _term_coefficients(
-        stats, sc, loss_cfg, C_z, C_z0, proof_variant)
+    C1, C2 = bound_constants(stats, sc, loss_cfg.nu, loss_cfg.lambda0, proof_variant)
     return BoundReport(
         C1=C1, C2=C2, C_z=C_z, C_z0=C_z0,
-        term_interior=interior_coef / math.sqrt(N_r),
-        term_initial=initial_coef / math.sqrt(N_0),
+        term_interior=2.0 * loss_cfg.delta * (stats.B_w * C_z * C1 + C2) / math.sqrt(N_r),
+        term_initial=(4.0 * loss_cfg.lambda1 * loss_cfg.delta * stats.B_a
+                      * (stats.B_w * C_z0 * sc.L_sigma + abs(sc.c0)) / math.sqrt(N_0)),
         N_r=N_r, N_0=N_0, weight_stats=stats, sigma_constants=sc, loss=loss_cfg,
     )
 
@@ -138,8 +129,8 @@ def sample_planner(eps: float, stats: WeightStats, sc: SigmaConstants,
     is <= eps), clamped to a minimum of one point each."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    _, _, interior_coef, initial_coef = _term_coefficients(
-        stats, sc, loss_cfg, C_z, C_z0, proof_variant=False)
-    N_r = max(1, math.ceil((2.0 * interior_coef / eps) ** 2))
-    N_0 = max(1, math.ceil((2.0 * initial_coef / eps) ** 2))
+    # each term at one point is its coefficient: dividing by sqrt(1) is exact
+    unit = generalization_bound(stats, sc, loss_cfg, 1, 1, C_z, C_z0)
+    N_r = max(1, math.ceil((2.0 * unit.term_interior / eps) ** 2))
+    N_0 = max(1, math.ceil((2.0 * unit.term_initial / eps) ** 2))
     return N_r, N_0

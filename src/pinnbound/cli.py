@@ -1,8 +1,9 @@
 """Command-line entry point: train / bound / verify / sweep.
 
-One JSON config file is the single source of truth; --set key=value
-applies dot-path overrides on top.  Every artifact embeds the fully
-resolved config and the artifact version string, and contains no
+One JSON config is the single source of truth: the preset, the --config
+file, then each --set a.b=v (the document {"a": {"b": v}}) merge into
+DEFAULT_CONFIG, a section key by key and any other value by replacing it.
+Every artifact embeds the resolved config and the version string, and no
 timestamps, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
@@ -21,6 +22,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, bounds, verify
@@ -34,10 +37,8 @@ from .training import TrainConfig
 DEFAULT_CONFIG = {
     "activation": {"family": "tanh", "k": 3},
     "dims": {"p": 64},
-    "loss": {"delta": 1.0, "lambda0": 1.0, "lambda1": 0.3, "nu": 0.01},
-    "training": {"epochs": 2000, "learning_rate": 1e-3, "beta1": 0.9,
-                 "beta2": 0.999, "eps_adam": 1e-8, "weight_decay": 0.01,
-                 "log_every": 100},
+    "loss": asdict(LossConfig()),
+    "training": asdict(TrainConfig()),
     "sampling": {"n_r": 125, "n_0": 500, "box": "unit", "w_scale": None},
     "bound": {"cz_convention": "sqrt", "proof_variant": False, "constants_override": None},
     "sweep": {"n_r_values": [27, 64, 125, 216], "population_factor": 10},
@@ -60,7 +61,7 @@ class UsageError(Exception):
     pass
 
 
-def _deep_update(base: dict, override: dict) -> dict:
+def _deep_update(base: dict, override: dict) -> None:
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(base.get(key), dict):
             _deep_update(base[key], val)
@@ -68,27 +69,9 @@ def _deep_update(base: dict, override: dict) -> dict:
             base[key] = val
 
 
-def _apply_set(cfg: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise UsageError(f"--set expects key=value, got {assignment!r}")
-    key, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise UsageError(f"--set {key}: {part!r} holds a value, not a section")
-    node[parts[-1]] = value
-
-
 def resolve_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if args.preset:
-        _deep_update(cfg, copy.deepcopy(PRESETS[args.preset]))
+    _deep_update(cfg, copy.deepcopy(PRESETS.get(args.preset, {})))
     if args.config:
         try:
             with open(args.config) as fh:
@@ -100,7 +83,16 @@ def resolve_config(args) -> dict:
                              f"not a {type(doc).__name__}")
         _deep_update(cfg, doc)
     for assignment in args.set or []:
-        _apply_set(cfg, assignment)
+        if "=" not in assignment:
+            raise UsageError(f"--set expects key=value, got {assignment!r}")
+        key, doc = assignment.split("=", 1)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError:
+            pass                                    # v is kept as the raw string
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        _deep_update(cfg, doc)
     return cfg
 
 
@@ -120,13 +112,17 @@ _KINDS = {
     str: (lambda v: isinstance(v, str), "a string"),
     list: (lambda v: isinstance(v, list) and all(map(_count(1), v)), "a list of integers >= 1"),
 }
+_SIGMA_NAMES = [f.name for f in fields(SigmaConstants)]
 # The keys whose values are not of their default's kind.
 _RULES = {
     "seed": (_count(0), "an integer >= 0"),
     "verify.sym_trials": (_count(2), "an integer >= 2"),   # a standard error needs two draws
     "verify.n_draws": (_count(2), "an integer >= 2"),
     "bound.cz_convention": (lambda v: v in ("sqrt", "literal"), "'sqrt' or 'literal'"),
-    "bound.constants_override": (lambda v: v is None or isinstance(v, dict), "null or a section"),
+    "bound.constants_override": (
+        lambda v: v is None or isinstance(v, dict) and set(v) == set(_SIGMA_NAMES)
+        and all(map(_number, v.values())),
+        f"null or a section of exactly {', '.join(_SIGMA_NAMES)}, each a finite number"),
     "sampling.w_scale": (lambda v: v is None or _number(v), "null or a finite number"),
     "sampling.box": (lambda v: isinstance(v, list) or isinstance(v, str) and v in _BOXES,
                      f"one of {sorted(_BOXES)} or a list of intervals"),
@@ -149,26 +145,35 @@ def _leaves(cfg: dict) -> dict:
 _SCHEMA = _leaves(DEFAULT_CONFIG)
 
 
-def _check_config(cfg: dict) -> None:
-    """`cfg` has the keys of DEFAULT_CONFIG, and every value is of its
-    default's kind or, for the keys in _RULES, as the rule asks."""
+def _check_config(cfg: dict) -> dict:
+    """`cfg` has no key outside DEFAULT_CONFIG (a merge into it drops none),
+    and every value is of its default's kind or, for the keys in _RULES, as
+    the rule asks.  Returns the dot path -> value of every setting."""
     leaves = _leaves(cfg)
-    for word, paths in (("unknown", leaves.keys() - _SCHEMA.keys()),
-                        ("missing", _SCHEMA.keys() - leaves.keys())):
-        if paths:
-            raise UsageError(f"{word} config keys: {', '.join(sorted(paths))}")
+    unknown = leaves.keys() - _SCHEMA.keys()
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for path, val in leaves.items():
         ok, wants = _RULES.get(path) or _KINDS[type(_SCHEMA[path])]
         if not ok(val):
             raise UsageError(f"{path} must be {wants}, got {val!r}")
+    return leaves
 
 
-def _settings(cfg: dict, command: str) -> SweepConfig:
-    """Every typed setting of a checked config, built once; the library's
-    range checks (the box's too) become usage errors.  The sweep's config
-    holds them all: the activation, loss, training, constants override and
-    box.  Only the sweep reads the `sweep` section, so the other commands take
-    its defaults.  `train` and `sweep` solve the 2-dimensional vortex."""
+def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig:
+    """Every typed setting of a resolved config, built once, after the schema
+    check and the check of the settings that the sweep ignores: its rows take
+    N_r from `sweep.n_r_values`, sqrt C_z, the paper's bound and the default
+    W scale, so those count as given where they differ from the preset's.
+    The library's range checks (the box's too) become usage errors.  Only the
+    sweep reads the `sweep` section; the other commands take its defaults.
+    `train` and `sweep` solve the 2-dimensional vortex."""
+    given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
+    changed = [path for path, val in _check_config(cfg).items() if val != given[path] and path in (
+        "bound.cz_convention", "bound.proof_variant", "sampling.n_r", "sampling.w_scale")]
+    if command == "sweep" and changed:
+        raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
+                         "`pinnbound bound` or `train` only")
     try:
         name = cfg["sampling"]["box"]
         box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
@@ -187,18 +192,6 @@ def _settings(cfg: dict, command: str) -> SweepConfig:
             sigma_constants=SigmaConstants(**override) if override else None)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config: {exc}")
-
-
-def _reject_ignored(cfg: dict, command: str, preset: str | None) -> None:
-    """Reject the settings that the sweep ignores: its rows take N_r from
-    `sweep.n_r_values`, the paper's bound with sqrt C_z and the default W
-    scale.  A setting counts as given where it differs from the preset's."""
-    given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
-    changed = [path for path, val in _leaves(cfg).items() if val != given[path] and path in (
-        "bound.cz_convention", "bound.proof_variant", "sampling.n_r", "sampling.w_scale")]
-    if command == "sweep" and changed:
-        raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
-                         "`pinnbound bound` or `train` only")
 
 
 def _say(text: str) -> None:
@@ -379,32 +372,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-        _check_config(cfg)
-        _reject_ignored(cfg, args.command, args.preset)
-        s = _settings(cfg, args.command)
-        out_dir = Path(args.out)
-        # the commands create --out; its first existing ancestor must be a directory
-        first = next((path for path in (out_dir, *out_dir.parents) if path.exists()), out_dir)
-        if not first.is_dir():
-            raise UsageError(f"--out {out_dir}: {first} is not a directory")
-        if args.command == "train":
-            return cmd_train(cfg, s, out_dir)
-        if args.command == "bound":
-            return cmd_bound(cfg, s, out_dir, args.checkpoint)
-        if args.command == "verify":
-            return cmd_verify(cfg, s, out_dir)
-        return cmd_sweep(cfg, s, out_dir)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (FloatingPointError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
+    # a diverged run reports itself in its own lines, not in numpy's overflow
+    # warnings; entered before any fork, so the sweep's workers inherit it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            cfg = resolve_config(args)
+            s = _settings(cfg, args.command, args.preset)
+            out_dir = Path(args.out)
+            # the commands create --out; its first existing ancestor must be a directory
+            first = next((path for path in (out_dir, *out_dir.parents) if path.exists()), out_dir)
+            if not first.is_dir():
+                raise UsageError(f"--out {out_dir}: {first} is not a directory")
+            if args.command == "train":
+                return cmd_train(cfg, s, out_dir)
+            if args.command == "bound":
+                return cmd_bound(cfg, s, out_dir, args.checkpoint)
+            if args.command == "verify":
+                return cmd_verify(cfg, s, out_dir)
+            return cmd_sweep(cfg, s, out_dir)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except (FloatingPointError, OverflowError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+            return 130
 
 
 if __name__ == "__main__":

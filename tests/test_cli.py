@@ -23,10 +23,12 @@ from pinnbound import (ActivationSpec, LossConfig, constants,
                        moment_constants, save_checkpoint, weight_stats)
 from pinnbound import cli, experiment
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, UsageError, build_parser, main,
-                           resolve_config, _apply_set, _check_config, _reject_ignored, _settings)
+                           resolve_config, _check_config, _settings)
 from pinnbound.experiment import UNIT_BOX, SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 TINY = ["--set", "training.epochs=20", "--set", "dims.p=4",
         "--set", "sampling.n_r=8", "--set", "sampling.n_0=6",
         "--set", "training.log_every=10"]
@@ -42,11 +44,31 @@ def test_parser_requires_command():
 
 
 def test_set_overrides_types():
-    cfg = {"a": {"b": 1}, "c": "x"}
-    _apply_set(cfg, "a.b=2.5")
-    _apply_set(cfg, "c=hello")
-    _apply_set(cfg, "a.flag=true")
-    assert cfg == {"a": {"b": 2.5, "flag": True}, "c": "hello"}
+    # a value is JSON where it parses and the raw string otherwise
+    cfg = resolve_config(build_parser().parse_args([
+        "--set", "loss.nu=2.5", "--set", "activation.family=sigmoid",
+        "--set", "bound.proof_variant=true", "train"]))
+    assert (cfg["loss"]["nu"], cfg["activation"]["family"], cfg["bound"]["proof_variant"]) == (
+        2.5, "sigmoid", True)
+
+
+@pytest.mark.parametrize("assignment, command", [
+    ('loss={"nu":0.5}', "train"),
+    ('training={"epochs":20,"log_every":10}', "bound"),
+])
+def test_set_of_a_section_merges(tmp_path, assignment, command):
+    # like the same leaves set one by one, and like the same object in a config file
+    name, body = assignment.split("=", 1)
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({name: json.loads(body)}))
+    leaves = [arg for key, val in json.loads(body).items()
+              for arg in ("--set", f"{name}.{key}={json.dumps(val)}")]
+    command = [command, "ck.json"] if command == "bound" else [command]
+    cfgs = [resolve_config(build_parser().parse_args(way + command))
+            for way in (["--set", assignment], leaves, ["--config", str(conf)])]
+    assert cfgs[0] == cfgs[1] == cfgs[2]
+    assert cfgs[0][name] == {**DEFAULT_CONFIG[name], **json.loads(body)}
+    _settings(cfgs[0], command[0])
 
 
 def test_resolve_config_layering(tmp_path):
@@ -68,7 +90,7 @@ def test_bad_set_is_usage_error(tmp_path):
 def test_set_through_a_value_is_usage_error(tmp_path, capsys):
     assert run(["--set", "seed.x=1", "--out", str(tmp_path), "train"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error: seed must be")
     assert "Traceback" not in err
 
 
@@ -105,7 +127,6 @@ def test_train_is_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_code(tmp_path):
     code = run(["--set", "training.epochs=5", "--set", "training.learning_rate=1e160",
                 "--set", "training.weight_decay=0.0", "--set", "dims.p=4",
@@ -162,14 +183,20 @@ def test_bound_constants_override(tmp_path):
     assert doc["sigma_constants"]["L_sigma1"] == 0.8
 
 
-@pytest.mark.parametrize("assignment", ["bound=3", "bound.cz_convention=bogus",
-                                        "bound.proof_variant=no"])
+@pytest.mark.parametrize("assignment", [
+    "bound=3", "bound.cz_convention=bogus", "bound.proof_variant=no",
+    'bound.constants_override={"L_sigma":1}',                      # seven constants missing
+    pytest.param('bound.constants_override={"L_sigma": 1.0, "L_sigma1": "0.8", "L_sigma2": 2.0,'
+                 ' "B_sigma": 1.0, "B_sigma1": 1.0, "c0": 0.0, "c1": 1.0, "c2": 0.0}',
+                 id="constants_override-a_string"),
+])
 def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
     ck = tmp_path / "ck.json"
     save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
     out = tmp_path / "o"
     assert run(["--set", assignment, "--out", str(out), "bound", str(ck)]) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and assignment.split("=")[0] in err
     assert not out.exists()
 
 
@@ -282,12 +309,10 @@ def test_closed_stdout_still_finishes_the_sweep(tmp_path):
     # already meets a broken pipe: no race with a reader.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     try:
         proc = subprocess.run([sys.executable, "-m", "pinnbound.cli", *SWEEP_FAST,
                                "--out", str(tmp_path / "piped"), "sweep"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+                              stdout=write_end, stderr=subprocess.PIPE, env=ENV, timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -346,7 +371,6 @@ def test_sweep_cache_recomputes_rows_of_another_config(tmp_path, capsys):
 DIVERGENT = ["--set", "training.learning_rate=1e307", "--set", "training.epochs=3"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_weights_are_exit_2_without_traceback(tmp_path, capsys):
     assert run(DIVERGENT + ["--set", "dims.p=4", "--set", "sampling.n_r=4",
                             "--set", "sampling.n_0=4",
@@ -356,13 +380,28 @@ def test_nonfinite_weights_are_exit_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_records_nonfinite_weights_in_failed_rows(tmp_path):
     out = tmp_path / "div"
     assert run(SWEEP_FAST + DIVERGENT + ["--out", str(out), "sweep"]) == 2
     doc = json.loads((out / "sweep.json").read_text())
     assert doc["rows"] == []
     assert [row["N_r"] for row in doc["failed_rows"]] == [5, 10, 20]
+
+
+def test_diverged_train_and_sweep_print_only_their_own_lines(tmp_path):
+    # numpy's overflow warnings stay out of stderr, the sweep workers' too
+    def stderr_lines(*argv):
+        proc = subprocess.run([sys.executable, "-m", "pinnbound.cli", *argv],
+                              capture_output=True, text=True, env=ENV, timeout=120)
+        assert proc.returncode == 2
+        return proc.stderr.splitlines()
+
+    train = stderr_lines(*DIVERGENT, "--set", "dims.p=4", "--set", "sampling.n_r=4",
+                         "--set", "sampling.n_0=4", "--out", str(tmp_path / "train"), "train")
+    assert len(train) == 1 and train[0].startswith("numerical failure: training diverged")
+    sweep = stderr_lines(*SWEEP_FAST, *DIVERGENT, "--out", str(tmp_path / "sweep"), "sweep")
+    assert [line.split(": ")[0] for line in sweep] == ["N_r=5", "N_r=10", "N_r=20"]
+    assert all(line.split(": ", 1)[1].startswith("training diverged (") for line in sweep)
 
 
 def test_sweep_of_two_rows_left_says_why_r_is_undefined(tmp_path, monkeypatch, capsys):
@@ -437,7 +476,6 @@ def test_cached_sweep_rows_start_no_worker_and_print_in_index_order(tmp_path, mo
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_rows_diverged_in_workers_are_failed_rows_in_index_order(tmp_path,
                                                                        monkeypatch):
     forks = _on_cpus(monkeypatch, 2)
@@ -481,13 +519,11 @@ sys.exit(main(sys.argv[1:]))
 def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
     # Ctrl-C sends SIGINT to the whole process group; the sweep's own group
     # must be empty once the command has exited.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
     long_rows = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
                  "--set", "dims.p=4", "--set", "training.epochs=1000000"]
     proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_SWEEP, *long_rows,
                              "--out", str(tmp_path / "sweep"), "sweep"],
-                            stderr=subprocess.PIPE, env=env, start_new_session=True)
+                            stderr=subprocess.PIPE, env=ENV, start_new_session=True)
     try:
         # both workers started: one line per fork, each within 30 s
         seen = b""
@@ -594,8 +630,6 @@ def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, a
     ("sampling.w_scale=abc", "sweep"),
     ("sampling.w_scale=0.5", "sweep"),                      # the sweep ignores it
     ("sampling.n_r=7", "sweep"),                            # rows take sweep.n_r_values
-    ('loss={"nu":0.5}', "train"),                           # a section missing three keys
-    ('training={"epochs":20,"log_every":10}', "bound"),
 ])
 def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, assignment,
                                                            command):
@@ -645,8 +679,8 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc)
 
 @pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
 def test_default_config_gives_the_library_defaults(command):
-    # the loss, training and sweep defaults are written in DEFAULT_CONFIG and
-    # in the dataclasses: the two copies must agree
+    # the activation, width, N_0, seed and sweep defaults are written in
+    # DEFAULT_CONFIG and in SweepConfig: the two copies must agree
     assert _settings(copy.deepcopy(DEFAULT_CONFIG), command) == SweepConfig()
 
 
@@ -659,12 +693,11 @@ def test_default_config_and_presets_pass_the_schema(preset):
         if preset is None:
             assert cfg == DEFAULT_CONFIG
         _check_config(cfg)
-        _reject_ignored(cfg, command[0], preset)
-        _settings(cfg, command[0])
+        _settings(cfg, command[0], preset)
     # the sweep's rows ignore sampling.n_r: it is refused where it is not the preset's
     cfg["sampling"]["n_r"] = 7
     with pytest.raises(UsageError, match="sampling.n_r"):
-        _reject_ignored(cfg, "sweep", preset)
+        _settings(cfg, "sweep", preset)
 
 
 _NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
