@@ -6,7 +6,7 @@ Taylor-Green bound-vs-gap correlation study."""
 __version__ = "0.1.0"
 
 from .activations import ActivationSpec, Family, SigmaConstants, constants, eval_derivs, exact_constants
-from .bounds import BoundReport, WeightStats, generalization_bound, sample_planner, bound_constants, weight_stats
+from .bounds import BoundReport, WeightStats, generalization_bound, sample_planner, weight_stats
 from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenParams,
                          measure_gap, moment_constants, pearson, sample_initial,
                          sample_interior, sweep_experiment, taylor_green_field,

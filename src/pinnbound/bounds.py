@@ -87,13 +87,15 @@ def weight_stats(weights: PinnWeights) -> WeightStats:
                        B_w=B_w, B_a=B_a)
 
 
-def bound_constants(stats: WeightStats, sc: SigmaConstants, nu: float,
-                      lambda0: float, proof_variant: bool = False) -> tuple[float, float]:
-    """C1 and C2.  The viscous part of C1 uses L_sigma'' as stated in the
-    final bound; proof_variant=True evaluates the (L_sigma' + L_sigma)
-    form that appears in the combination step instead."""
-    if nu <= 0:
-        raise ValueError("nu must be > 0")
+def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
+                         N_r: int, N_0: int, C_z: float, C_z0: float,
+                         proof_variant: bool = False) -> BoundReport:
+    """The bound with its C1 and C2.  The viscous part of C1 uses L_sigma''
+    as stated in the final bound; proof_variant=True evaluates the
+    (L_sigma' + L_sigma) form that appears in the combination step instead."""
+    if N_r < 1 or N_0 < 1:
+        raise ValueError("N_r and N_0 must be >= 1")
+    nu, lambda0 = loss_cfg.nu, loss_cfg.lambda0
     visc = (sc.L_sigma1 + sc.L_sigma) if proof_variant else sc.L_sigma2
     C1 = (2.0 * stats.B_f1 * sc.L_sigma1
           + 4.0 * stats.B_f2 * (sc.B_sigma * sc.L_sigma1 + sc.B_sigma1 * sc.L_sigma)
@@ -105,15 +107,6 @@ def bound_constants(stats: WeightStats, sc: SigmaConstants, nu: float,
           + stats.B_f3 * abs(sc.c1)
           + nu * stats.B_f4 * abs(sc.c2)
           + lambda0 * stats.B_f5 * abs(sc.c1))
-    return C1, C2
-
-
-def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
-                         N_r: int, N_0: int, C_z: float, C_z0: float,
-                         proof_variant: bool = False) -> BoundReport:
-    if N_r < 1 or N_0 < 1:
-        raise ValueError("N_r and N_0 must be >= 1")
-    C1, C2 = bound_constants(stats, sc, loss_cfg.nu, loss_cfg.lambda0, proof_variant)
     return BoundReport(
         C1=C1, C2=C2, C_z=C_z, C_z0=C_z0,
         term_interior=2.0 * loss_cfg.delta * (stats.B_w * C_z * C1 + C2) / math.sqrt(N_r),

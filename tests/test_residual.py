@@ -143,6 +143,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LossConfig(nu=-0.1)
     with pytest.raises(ValueError):
+        LossConfig(nu=0.0)
+    with pytest.raises(ValueError):
         LossConfig(lambda0=-1.0)
     with pytest.raises(ValueError):
         CollocationSet(interior=np.zeros((0, 3)), initial=np.zeros((1, 2)))
