@@ -10,24 +10,22 @@ is full batch and fully deterministic.
 import numpy as np
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig,
-                       TaylorGreenParams, TrainConfig, init_weights,
-                       sample_initial, sample_interior, taylor_green_initial,
-                       train)
+                       TrainConfig, init_weights, sample_initial, sample_interior,
+                       taylor_green_initial, train)
 from pinnbound.experiment import UNIT_BOX
 
-params = TaylorGreenParams(nu=0.01)
-f0 = taylor_green_initial(params)
-
-# collocation points: interior space-time samples plus a t=0 slice
+# collocation points: interior space-time samples plus a t=0 slice, whose
+# targets are the vortex's initial velocities at viscosity 0.01
 colloc = CollocationSet(
     interior=sample_interior(125, UNIT_BOX, seed=0),
     initial=sample_initial(500, UNIT_BOX[:2], seed=1),
+    f0=taylor_green_initial(0.01),
 )
 
 spec = ActivationSpec.from_name("tanh", 3)
 weights0 = init_weights(d=2, p=32, seed=2)
 
-weights, history = train(weights0, spec, LossConfig(), colloc, f0,
+weights, history = train(weights0, spec, LossConfig(), colloc,
                          TrainConfig(epochs=800, log_every=100))
 
 for epoch, rb in history:

@@ -14,7 +14,7 @@ from pinnbound import (ConstraintGrid, LossConfig, check_abs_removal,
                        check_contraction_product, check_contraction_single,
                        check_rademacher_linear, check_symmetrization, field_eval,
                        init_weights)
-from pinnbound import ActivationSpec, TaylorGreenParams, taylor_green_initial
+from pinnbound import ActivationSpec, taylor_green_initial
 
 rng = np.random.default_rng(0)
 Z = rng.uniform(0, 1, (8, 3))
@@ -44,7 +44,7 @@ show(check_contraction_product(grid, Z, np.tanh, np.tanh, B=1.0,
 spec = ActivationSpec.from_name("tanh", 3)
 nets = [init_weights(2, 4, seed=j) for j in range(3)]
 hyps = [lambda z, w=w: field_eval(w, spec, z) for w in nets]
-f0 = taylor_green_initial(TaylorGreenParams(nu=0.01))
+f0 = taylor_green_initial(0.01)   # the vortex's t=0 velocities, the targets of both point sets
 sampler = lambda r, n: (r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2)))
 show(check_symmetrization(hyps, LossConfig(), sampler, f0,
                           n_points=10, n_trials=200, seed=0))

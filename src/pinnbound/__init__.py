@@ -7,15 +7,13 @@ __version__ = "0.1.0"
 
 from .activations import ActivationSpec, Family, SigmaConstants, constants, eval_derivs, exact_constants
 from .bounds import BoundReport, WeightStats, generalization_bound, sample_planner, weight_stats
-from .experiment import (CorrelationReport, GapReport, SweepConfig, TaylorGreenParams,
-                         measure_gap, moment_constants, pearson, sample_initial,
-                         sample_interior, sweep_experiment, taylor_green_field,
-                         taylor_green_initial)
+from .experiment import (CorrelationReport, GapReport, SweepConfig, measure_gap,
+                         moment_constants, pearson, sample_initial, sample_interior,
+                         sweep_experiment, taylor_green_field, taylor_green_initial)
 from .network import (FieldEval, PinnWeights, field_eval, fields, init_weights,
                       load_checkpoint, save_checkpoint)
-from .residual import (CollocationSet, LossConfig, RiskBreakdown, empirical_risk,
-                       huber, huber_grad, initial_losses, initial_targets, loss_init, loss_res,
-                       momentum_residual)
+from .residual import (CollocationSet, LossConfig, RiskBreakdown, empirical_risk, huber,
+                       huber_grad, initial_losses, loss_init, loss_res, momentum_residual)
 from .training import (OptimState, TrainConfig, adamw_step, grad_risk,
                        risk_breakdown, train)
 from .verify import (CheckReport, ConstraintGrid, RademacherEstimate,

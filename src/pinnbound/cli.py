@@ -226,8 +226,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     try:
-        weights, history, _, _ = train_vortex(s, cfg["sampling"]["n_r"], s.seed,
-                                              w_scale=cfg["sampling"]["w_scale"])
+        weights, history, _ = train_vortex(s, cfg["sampling"]["n_r"], s.seed,
+                                           w_scale=cfg["sampling"]["w_scale"])
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -302,18 +302,19 @@ def _row_path(out_dir: Path, s: SweepConfig, idx: int) -> Path:
     return out_dir / f"row_{idx:02d}_nr{s.n_r_values[idx]}.json"
 
 
-def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
-    """Index -> GapReport of the rows whose files hold `cfg`.  A row file is
-    reused only when the config embedded in it equals `cfg`; any other row
-    is computed again and its file overwritten."""
+def _cached_rows(s: SweepConfig, out_dir: Path, preset: str | None) -> dict:
+    """Index -> GapReport of the reusable row files: those whose embedded
+    config gives the sweep settings `s` (under `preset`) and whose row
+    rebuilds to itself.  Any other row is computed again, its file rewritten."""
     cached = {}
     for idx in range(len(s.n_r_values)):
         try:
             doc = json.loads(_row_path(out_dir, s, idx).read_text())
-            if isinstance(doc, dict) and doc.get("config") == cfg:
-                cached[idx] = GapReport.from_dict(doc["row"])
-        except (OSError, KeyError, TypeError, ValueError):   # unreadable, or not a whole row
-            pass
+            row = GapReport.from_dict(doc["row"])
+            if row.to_dict() == doc["row"] and _settings(doc["config"], "sweep", preset) == s:
+                cached[idx] = row
+        except (OSError, KeyError, TypeError, ValueError, AttributeError, UsageError):
+            pass                                   # not a whole row of a valid config
     return cached
 
 
@@ -324,9 +325,9 @@ def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapRepo
     return report
 
 
-def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
+def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path, preset: str | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cached = _cached_rows(cfg, s, out_dir)
+    cached = _cached_rows(s, out_dir, preset)
 
     def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
         if idx in cached:
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
                 return cmd_bound(cfg, s, out_dir, args.checkpoint)
             if args.command == "verify":
                 return cmd_verify(cfg, s, out_dir)
-            return cmd_sweep(cfg, s, out_dir)
+            return cmd_sweep(cfg, s, out_dir, args.preset)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1

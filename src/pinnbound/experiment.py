@@ -23,30 +23,24 @@ import numpy as np
 from . import bounds
 from .activations import ActivationSpec, SigmaConstants, constants
 from .network import FieldEval, PinnWeights, init_weights
-from .residual import CollocationSet, LossConfig, initial_targets
+from .residual import CollocationSet, LossConfig
 from .training import TrainConfig, risk_breakdown, train
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 FIGURE1_BOX = ((0.0, 2.0), (0.0, 2.0), (0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class TaylorGreenParams:
-    nu: float = 0.01
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be > 0")
-
-
-def taylor_green_field(z, params: TaylorGreenParams) -> FieldEval:
-    """Closed-form field and all its derivatives at z = (x, y, t); for points
-    z of shape (..., 3) every entry of the result leads with the same axes."""
+def taylor_green_field(z, nu: float) -> FieldEval:
+    """Closed-form field and all its derivatives at z = (x, y, t) for the
+    viscosity nu > 0; for points z of shape (..., 3) every entry of the
+    result leads with the same axes."""
+    if nu <= 0:
+        raise ValueError("nu must be > 0")
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (3,):
         raise ValueError("the vortex solution is 2-dimensional: z must be (..., 3) = (x, y, t)")
     x, y, t = z[..., 0], z[..., 1], z[..., 2]
-    nu, pi = params.nu, math.pi
+    pi = math.pi
     E = np.exp(-2.0 * pi * pi * nu * t)
     E2 = E * E
     cx, sx = np.cos(pi * x), np.sin(pi * x)
@@ -64,12 +58,12 @@ def taylor_green_field(z, params: TaylorGreenParams) -> FieldEval:
                      div_u=jac[..., 0, 0] + jac[..., 1, 1])
 
 
-def taylor_green_initial(params: TaylorGreenParams):
+def taylor_green_initial(nu: float):
     """The t=0 velocity slice, as an initial-condition function mapping
     (..., 2) spatial points to (..., 2) velocities."""
     def f0(x):
         x = np.asarray(x, dtype=float)
-        return taylor_green_field(np.append(x, np.zeros_like(x[..., :1]), axis=-1), params).u
+        return taylor_green_field(np.append(x, np.zeros_like(x[..., :1]), axis=-1), nu).u
     return f0
 
 
@@ -146,11 +140,12 @@ class GapReport:
 
 
 def measure_gap(cfg: SweepConfig, weights: PinnWeights, train_colloc: CollocationSet,
-                train_risk: float, f0, seed: int) -> GapReport:
+                train_risk: float, seed: int) -> GapReport:
     """The training set's empirical risk `train_risk` (as `train` last logged
     it) vs the risk on cfg.population_factor * max(N_r, N_0) fresh uniform
-    points in cfg.box, plus the bound evaluated at the trained weights with
-    the box's moment constants and cfg's activation, loss and constants."""
+    points in cfg.box, scored against the training set's f0, plus the bound
+    evaluated at the trained weights with the box's moment constants and
+    cfg's activation, loss and constants."""
     N_r, N_0 = train_colloc.n_interior, train_colloc.n_initial
     population_points = cfg.population_factor * max(N_r, N_0)
     if population_points < 10 * N_r:
@@ -158,10 +153,8 @@ def measure_gap(cfg: SweepConfig, weights: PinnWeights, train_colloc: Collocatio
     box = np.asarray(cfg.box, dtype=float)
     pop_int = sample_interior(population_points, box, seed)
     pop_init = sample_initial(population_points, box[:-1], seed + 1)
-    pop_set = CollocationSet(interior=pop_int, initial=pop_init)
-
-    pop_risk = risk_breakdown(weights, cfg.activation, cfg.loss, pop_set,
-                              initial_targets(f0, pop_set.initial)).total
+    pop_set = CollocationSet(pop_int, pop_init, train_colloc.f0)
+    pop_risk = risk_breakdown(weights, cfg.activation, cfg.loss, pop_set).total
 
     sc = cfg.sigma_constants or constants(cfg.activation)
     C_z, C_z0 = moment_constants(box)
@@ -207,15 +200,15 @@ class CorrelationReport:
 def train_vortex(cfg: SweepConfig, n_r: int, seed: int, w_scale: float | None = None):
     """Train one network on the vortex in cfg.box: n_r interior points drawn
     from `seed`, cfg.n_0 initial points from seed + 1, the weights from
-    seed + 2.  Returns (weights, history, colloc, f0) as `train` and its
-    inputs; raises RuntimeError if training diverges."""
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
+    seed + 2.  Returns (weights, history, colloc) as `train` and its point
+    set; raises RuntimeError if training diverges."""
     box = np.asarray(cfg.box, dtype=float)
-    colloc = CollocationSet(interior=sample_interior(n_r, box, seed),
-                            initial=sample_initial(cfg.n_0, box[:-1], seed + 1))
+    colloc = CollocationSet(sample_interior(n_r, box, seed),
+                            sample_initial(cfg.n_0, box[:-1], seed + 1),
+                            taylor_green_initial(cfg.loss.nu))
     weights0 = init_weights(d=2, p=cfg.width, seed=seed + 2, w_scale=w_scale)
-    weights, history = train(weights0, cfg.activation, cfg.loss, colloc, f0, cfg.train)
-    return weights, history, colloc, f0
+    weights, history = train(weights0, cfg.activation, cfg.loss, colloc, cfg.train)
+    return weights, history, colloc
 
 
 def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
@@ -224,8 +217,8 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
     RuntimeError if the row's training diverges."""
     n_r = int(cfg.n_r_values[idx])
     row_seed = int(np.random.default_rng((cfg.seed, idx)).integers(2**31))
-    weights, history, colloc, f0 = train_vortex(cfg, n_r, row_seed)
-    return measure_gap(cfg, weights, colloc, history[-1][1].total, f0, row_seed + 3)
+    weights, history, colloc = train_vortex(cfg, n_r, row_seed)
+    return measure_gap(cfg, weights, colloc, history[-1][1].total, row_seed + 3)
 
 
 def _row_or_error(row, cfg: SweepConfig, idx: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,12 @@ class LossConfig:
 
 @dataclass
 class CollocationSet:
+    """Collocation points and the initial-condition targets at them.  f0 maps
+    (..., d) spatial points to (..., d) target velocities; the set calls it
+    once, when it is built, and keeps the table f0(initial) as `targets`."""
     interior: np.ndarray   # (N_r, d+1) space-time points
     initial: np.ndarray    # (N_0, d) spatial points
+    f0: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.interior = np.atleast_2d(np.asarray(self.interior, dtype=float))
@@ -50,6 +55,10 @@ class CollocationSet:
             raise ValueError("collocation points must be finite")
         if self.interior.shape[1] != self.initial.shape[1] + 1:
             raise ValueError("interior points must have one more coordinate (time) than initial points")
+        self.targets = np.asarray(self.f0(self.initial), dtype=float)   # (N_0, d)
+        if self.targets.shape != self.initial.shape:
+            raise ValueError(f"f0 maps points {self.initial.shape} to {self.targets.shape}, "
+                             f"not to {self.initial.shape}")
 
     @property
     def n_interior(self) -> int:
@@ -114,10 +123,10 @@ def loss_res(fe: FieldEval, cfg: LossConfig) -> float:
     return float(momentum + divergence)
 
 
-def initial_losses(u0: np.ndarray, F0: np.ndarray, cfg: LossConfig) -> np.ndarray:
+def initial_losses(u0: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """Weighted initial-condition loss (Huber summed over components) at
     each point; broadcasts over leading axes."""
-    return cfg.lambda1 * huber(cfg.delta, u0 - F0).sum(axis=-1)
+    return cfg.lambda1 * huber(cfg.delta, u0 - targets).sum(axis=-1)
 
 
 def loss_init(u_at_t0: np.ndarray, f0_val: np.ndarray, cfg: LossConfig) -> float:
@@ -128,23 +137,11 @@ def loss_init(u_at_t0: np.ndarray, f0_val: np.ndarray, cfg: LossConfig) -> float
     return float(initial_losses(u_at_t0, f0_val, cfg))
 
 
-def initial_targets(f0, X: np.ndarray) -> np.ndarray:
-    """The target table f0(X) for spatial points X (N, d), from one call."""
-    F0 = np.asarray(f0(X), dtype=float)
-    if F0.shape != X.shape:
-        raise ValueError(f"f0 maps points {X.shape} to {F0.shape}, not to {X.shape}")
-    return F0
-
-
-def empirical_risk(field, cfg: LossConfig, colloc: CollocationSet,
-                   F0: np.ndarray) -> RiskBreakdown:
-    """Average the per-point losses over the collocation sets.
-
-    `field` is a field evaluator, called once per set; F0 is the (N_0, d)
-    target table `initial_targets(f0, colloc.initial)`.
-    """
+def empirical_risk(field, cfg: LossConfig, colloc: CollocationSet) -> RiskBreakdown:
+    """Average the per-point losses over the collocation sets; `field` is a
+    field evaluator, called once per set."""
     u0 = field(colloc.initial_spacetime).u
     # loss_init runs once per initial point: perfbench/test_perfbench.py counts
     # one call per population point of check_symmetrization.
-    initial = [loss_init(u, f0_val, cfg) for u, f0_val in zip(u0, F0)]
+    initial = [loss_init(u, f0_val, cfg) for u, f0_val in zip(u0, colloc.targets)]
     return RiskBreakdown.average(*interior_losses(field(colloc.interior), cfg), initial)

@@ -4,9 +4,7 @@ The gradient chains the Huber derivative through the closed-form field
 derivatives of `network.fields`.  Because those closed forms already
 contain sigma' and sigma'', the gradient needs sigma''' (supplied
 analytically by the activation module).  A1 and a2 never receive updates.
-The initial-condition function f0 maps (..., d) spatial points to (..., d)
-target velocities; `train` builds its table F0 = f0(colloc.initial) once
-and hands it to the risk and the gradient.
+The initial-condition targets are the collocation set's own `targets`.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 from .activations import ActivationSpec, eval_derivs  # noqa: F401  (perfbench traces it here)
 from .network import PinnWeights, fields
 from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber_grad,
-                       initial_losses, initial_targets, interior_losses, momentum_residual)
+                       initial_losses, interior_losses, momentum_residual)
 
 
 @dataclass
@@ -58,19 +56,18 @@ _CHUNK = 32768
 
 
 def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
-                   colloc: CollocationSet, F0: np.ndarray) -> RiskBreakdown:
+                   colloc: CollocationSet) -> RiskBreakdown:
     """Empirical risk of the network (the value of `empirical_risk` with
-    `field_eval`, computed without a Python loop over points).
-    F0 is the (N_0, d) target table `initial_targets(f0, colloc.initial)`.
-    Each set is scored in chunks of _CHUNK // p points, one `fields` call
-    per chunk, so memory stays bounded however large the set; each point's
-    loss reads only its own row and math.fsum is exact, so the chunks do
-    not change the risk."""
+    `field_eval`, computed without a Python loop over points).  Each set is
+    scored in chunks of _CHUNK // p points, one `fields` call per chunk, so
+    memory stays bounded however large the set; each point's loss reads
+    only its own row and math.fsum is exact, so the chunks do not change
+    the risk."""
     step = max(1, _CHUNK // weights.p)
     interior = [interior_losses(fields(weights, spec, colloc.interior[a:a + step])[0], cfg)
                 for a in range(0, colloc.n_interior, step)]
     initial = [initial_losses(fields(weights, spec, colloc.initial_spacetime[a:a + step],
-                                     derivatives=False)[0].u, F0[a:a + step], cfg)
+                                     derivatives=False)[0].u, colloc.targets[a:a + step], cfg)
                for a in range(0, colloc.n_initial, step)]
     momentum, divergence = map(np.concatenate, zip(*interior))
     return RiskBreakdown.average(momentum, divergence, np.concatenate(initial))
@@ -82,13 +79,12 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
-              colloc: CollocationSet, F0: np.ndarray) -> np.ndarray:
-    """Exact gradient of the empirical risk with respect to W, for the
-    target table F0 of `risk_breakdown`.  Each term of dR/dW[q, j] is
-    sigma^(l)(W_q . z) times a product of per-point vectors (the clipped
-    Huber slopes g and gd, t1 = g . grad u, (u, 1), z) times a coefficient
-    of unit q, so each level l first sums over the points, in one product
-    F_l @ s_l.  At Huber kinks both branch slopes agree.
+              colloc: CollocationSet) -> np.ndarray:
+    """Exact gradient of the empirical risk with respect to W.  Each term of
+    dR/dW[q, j] is sigma^(l)(W_q . z) times a product of per-point vectors
+    (the clipped Huber slopes g and gd, t1 = g . grad u, (u, 1), z) times a
+    coefficient of unit q, so each level l first sums over the points, in
+    one product F_l @ s_l.  At Huber kinks both branch slopes agree.
     """
     W, A1, a2 = weights.W, weights.A1, weights.a2
     d, p = weights.d, weights.p
@@ -122,7 +118,7 @@ def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     G /= colloc.n_interior
     # t = 0, sigma': u through W_q . z, where z = (x, 0) has no time entry.
     fe0, (_, s1_0, _, _) = fields(weights, spec, colloc.initial_spacetime, derivatives=False)
-    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
+    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - colloc.targets)
     G[:, :d] += via_A1(_outer(g0.T, colloc.initial.T) @ s1_0) / colloc.n_initial
     return G
 
@@ -163,7 +159,7 @@ def _keep_freed_memory() -> None:
 
 
 def train(weights0: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
-          colloc: CollocationSet, f0, tc: TrainConfig):
+          colloc: CollocationSet, tc: TrainConfig):
     """Full-batch AdamW for tc.epochs epochs; fully deterministic.
 
     Returns the final weights and a history of (epoch, RiskBreakdown)
@@ -173,12 +169,11 @@ def train(weights0: PinnWeights, spec: ActivationSpec, loss_cfg: LossConfig,
     weights = weights0.copy()
     state = OptimState.zeros(weights)
     history: list[tuple[int, RiskBreakdown]] = []
-    F0 = initial_targets(f0, colloc.initial)
     for epoch in range(1, tc.epochs + 1):
-        grads = grad_risk(weights, spec, loss_cfg, colloc, F0)
+        grads = grad_risk(weights, spec, loss_cfg, colloc)
         weights, state = adamw_step(weights, grads, state, tc)
         if epoch % tc.log_every == 0 or epoch == tc.epochs:
-            rb = risk_breakdown(weights, spec, loss_cfg, colloc, F0)
+            rb = risk_breakdown(weights, spec, loss_cfg, colloc)
             if not math.isfinite(rb.total):
                 raise RuntimeError(f"training diverged at epoch {epoch}: risk is non-finite")
             history.append((epoch, rb))

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationSpec
-from .experiment import TaylorGreenParams, taylor_green_initial
+from .experiment import taylor_green_initial
 from .network import field_eval, init_weights
-from .residual import (CollocationSet, LossConfig, empirical_risk, initial_targets,
-                       loss_init, loss_res)
+from .residual import CollocationSet, LossConfig, empirical_risk, loss_init, loss_res
 
 _ENUM_LIMIT = 20
 _EXACT_EPS = 1e-9
@@ -221,17 +220,14 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
     are drawn first and scored as one point set, so it is called once on
     all their interior and once on all their initial points.
     `sampler(rng, n)` must return (interior (n, d+1), initial (n, d))
-    samples; population risks use one large fixed quadrature sample.  `f0`
-    maps (..., d) spatial points to (..., d) targets.
+    samples; population risks use one large fixed quadrature sample.  Both
+    point sets take their targets from `f0`, as a `CollocationSet` does.
     """
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
     rng_pop = np.random.default_rng((seed, 0xF00D))
-    pop_int, pop_init = sampler(rng_pop, population_points)
-    pop_set = CollocationSet(interior=pop_int, initial=pop_init)
-    pop_F0 = initial_targets(f0, pop_set.initial)
-    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, pop_F0).total
-                         for h in hypotheses])
+    pop_set = CollocationSet(*sampler(rng_pop, population_points), f0)
+    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set).total for h in hypotheses])
 
     # Draw every trial first, each from its own generator in the order
     # sampler, eps_r, eps_0; then score all trials as one point set.  The
@@ -241,8 +237,7 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
               rng.choice([-1.0, 1.0], n_points)) for rng in rngs)
     interior, initial, eps_r, eps_0 = (np.stack(a) for a in zip(*draws))   # (T, n, ...)
     S = CollocationSet(interior.reshape(-1, interior.shape[-1]),
-                       initial.reshape(-1, initial.shape[-1]))
-    F0 = initial_targets(f0, S.initial)
+                       initial.reshape(-1, initial.shape[-1]), f0)
     # The per-point losses run per row because perfbench/test_perfbench.py
     # pins their counts; np.fromiter keeps no list of their Python floats.
     m = n_trials * n_points
@@ -252,7 +247,7 @@ def check_symmetrization(hypotheses, loss_cfg: LossConfig, sampler, f0,
         for h in hypotheses]).reshape(shape)
     init_losses = np.array([
         np.fromiter((loss_init(u, f0_val, loss_cfg)
-                     for u, f0_val in zip(h(S.initial_spacetime).u, F0)), float, m)
+                     for u, f0_val in zip(h(S.initial_spacetime).u, S.targets)), float, m)
         for h in hypotheses]).reshape(shape)
     emp = res_losses.mean(axis=2) + init_losses.mean(axis=2)          # (H, T)
     gap_vals = np.max(emp - pop_risk[:, None], axis=0)
@@ -291,7 +286,7 @@ def suite(spec: ActivationSpec, loss_cfg: LossConfig, seed: int, *, n_instances:
             L_phi1=1.0, L_phi2=1.0, k=0.0, n_draws=n_draws, seed=seed + i))
         reports.append(check_rademacher_linear(Z, B=grid.B, n_draws=n_draws, seed=seed + i))
 
-    f0 = taylor_green_initial(TaylorGreenParams(nu=loss_cfg.nu))
+    f0 = taylor_green_initial(loss_cfg.nu)
 
     def sampler(r, n):
         return r.uniform(0, 1, (n, 3)), r.uniform(0, 1, (n, 2))

@@ -22,10 +22,10 @@ def random_net(seed, d=2, p=4):
     return init_weights(d=d, p=p, seed=seed)
 
 
-def random_colloc(seed, d=2, n_r=4, n_0=3):
+def random_colloc(seed, f0, d=2, n_r=4, n_0=3):
     g = np.random.default_rng(seed)
     return CollocationSet(interior=g.uniform(0, 1, (n_r, d + 1)),
-                          initial=g.uniform(0, 1, (n_0, d)))
+                          initial=g.uniform(0, 1, (n_0, d)), f0=f0)
 
 
 def central_diff(f, x, h):

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
-                       TaylorGreenParams, TrainConfig, WeightStats, constants,
-                       empirical_risk, eval_derivs, field_eval,
-                       generalization_bound, grad_risk, init_weights, initial_targets,
+                       TrainConfig, WeightStats, constants, empirical_risk, eval_derivs,
+                       field_eval, generalization_bound, grad_risk, init_weights,
                        momentum_residual, sample_initial, sample_interior,
                        sweep_experiment, taylor_green_field,
                        taylor_green_initial)
@@ -59,17 +58,15 @@ def test_criterion_1_derivative_stacks():
 def test_criterion_2_vortex_reference():
     worst_r = worst_d = worst_risk = 0.0
     for nu in (1e-3, 1e-2):
-        params = TaylorGreenParams(nu=nu)
         cfg = LossConfig(nu=nu)
         Z = sample_interior(10000, UNIT_BOX, seed=7)
         for z in Z:
-            fe = taylor_green_field(z, params)
+            fe = taylor_green_field(z, nu)
             worst_r = max(worst_r, float(np.max(np.abs(momentum_residual(fe, nu)))))
             worst_d = max(worst_d, abs(fe.div_u))
-        colloc = CollocationSet(interior=Z[:200],
-                                initial=sample_initial(200, UNIT_BOX[:2], 8))
-        rb = empirical_risk(lambda z: taylor_green_field(z, params), cfg, colloc,
-                            initial_targets(taylor_green_initial(params), colloc.initial))
+        colloc = CollocationSet(interior=Z[:200], initial=sample_initial(200, UNIT_BOX[:2], 8),
+                                f0=taylor_green_initial(nu))
+        rb = empirical_risk(lambda z: taylor_green_field(z, nu), cfg, colloc)
         worst_risk = max(worst_risk, rb.total)
     ok = worst_r < 1e-10 and worst_d < 1e-10 and worst_risk < 1e-10
     report("2 analytic vortex", ok,
@@ -93,14 +90,12 @@ def test_criterion_3_risk_gradient():
         weights = init_weights(d, p, seed=int(rng.integers(1 << 30)))
         g = np.random.default_rng(count)
         colloc = CollocationSet(interior=g.uniform(0, 1, (4, d + 1)),
-                                initial=g.uniform(0, 1, (3, d)))
+                                initial=g.uniform(0, 1, (3, d)), f0=np.sin)
         cfg = LossConfig(delta=float(g.uniform(0.5, 1.5)),
                          lambda0=float(g.uniform(0, 2)),
                          lambda1=float(g.uniform(0, 1)),
                          nu=float(g.uniform(0.005, 0.1)))
-        f0 = lambda x: np.sin(x)
-        F0 = initial_targets(f0, colloc.initial)
-        G = grad_risk(weights, spec, cfg, colloc, F0)
+        G = grad_risk(weights, spec, cfg, colloc)
         F = np.zeros_like(G)
         for i in range(p):
             for j in range(d + 1):
@@ -108,7 +103,7 @@ def test_criterion_3_risk_gradient():
                     w = weights.copy()
                     w.W[i, j] += s
                     F[i, j] += sign * empirical_risk(
-                        lambda z: field_eval(w, spec, z), cfg, colloc, F0).total
+                        lambda z: field_eval(w, spec, z), cfg, colloc).total
         F /= 2 * h
         scale = max(float(np.max(np.abs(F))), 1e-8)
         worst = max(worst, float(np.max(np.abs(G - F))) / scale)

@@ -377,6 +377,28 @@ def test_sweep_cache_recomputes_rows_of_another_config(tmp_path, capsys):
     assert capsys.readouterr().out.count(": cached") == 3
 
 
+def test_sweep_cache_reuses_rows_whose_sweep_settings_match(tmp_path, capsys):
+    # No row reads the `verify` section: changing it serves every row from its
+    # file, which keeps the config it was computed under.
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    rows = {name: blob for name, blob in _files(out).items() if name.name.startswith("row_")}
+    capsys.readouterr()
+    assert run(SWEEP_FAST + ["--set", "verify.n_draws=100", "--out", str(out), "sweep"]) == 0
+    assert capsys.readouterr().out.count(": cached") == 3
+    assert {name: _files(out)[name] for name in rows} == rows
+    assert json.loads((out / "sweep.json").read_text())["config"]["verify"]["n_draws"] == 100
+    # a setting that a row reads recomputes it
+    assert run(SWEEP_FAST + ["--set", "loss.nu=0.02", "--out", str(out), "sweep"]) == 0
+    assert "cached" not in capsys.readouterr().out
+    # a preset's settings are read under that preset: its sampling.n_r is not a change
+    fig = SWEEP_FAST + ["--preset", "figure1", "--out", str(tmp_path / "fig"), "sweep"]
+    assert run(fig) == 0
+    capsys.readouterr()
+    assert run(fig) == 0
+    assert capsys.readouterr().out.count(": cached") == 3
+
+
 DIVERGENT = ["--set", "training.learning_rate=1e307", "--set", "training.epochs=3"]
 
 
@@ -759,6 +781,32 @@ def test_sweep_recomputes_a_row_file_it_cannot_rebuild(tmp_path):
     row_file = out / "row_01_nr10.json"
     row_file.write_text(json.dumps({**json.loads(row_file.read_text()), "row": {"N_r": 10}}))
     assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("path, value", [
+    (("row", "train_risk"), "x"),
+    (("row", "bound", "term_interior"), "1"),
+    (("row", "bound", "term_initial"), "2"),
+    (("config",), []),
+    (("config", "loss"), {"nu": 0.01}),
+])
+def test_sweep_recomputes_a_row_file_of_wrong_value_types(tmp_path, capsys, path, value):
+    # a row that does not rebuild to itself, or whose config is not a valid
+    # one, is computed again and its file rewritten
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    before = _files(out)
+    row_file = out / "row_01_nr10.json"
+    doc = json.loads(row_file.read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    row_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert capsys.readouterr().out.count(": cached") == 2
     assert _files(out) == before
 
 

@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig,
-                       TaylorGreenParams, TrainConfig, constants, empirical_risk,
-                       init_weights, initial_targets, measure_gap, moment_constants, pearson,
-                       risk_breakdown, sample_initial, sample_interior, sweep_experiment,
-                       taylor_green_field, taylor_green_initial)
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig, TrainConfig,
+                       constants, empirical_risk, init_weights, measure_gap, moment_constants,
+                       pearson, risk_breakdown, sample_initial, sample_interior,
+                       sweep_experiment, taylor_green_field, taylor_green_initial)
 from pinnbound import experiment, training
 from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, sweep_row
 from pinnbound.residual import loss_res, momentum_residual
@@ -22,34 +21,34 @@ PI = math.pi
 
 
 def test_vortex_values_at_reference_points():
-    params = TaylorGreenParams(nu=0.01)
-    fe = taylor_green_field(np.array([0.0, 0.0, 0.0]), params)
+    nu = 0.01
+    fe = taylor_green_field(np.array([0.0, 0.0, 0.0]), nu)
     assert np.allclose(fe.u, [0.0, 0.0], atol=1e-15)
     assert fe.p_val == -0.5
-    fe = taylor_green_field(np.array([0.5, 0.5, 0.0]), params)
+    fe = taylor_green_field(np.array([0.5, 0.5, 0.0]), nu)
     assert np.allclose(fe.u, [-math.cos(PI / 2), math.cos(PI / 2)], atol=1e-15)
     assert fe.p_val == pytest.approx(0.5, abs=1e-15)
     # time decay of the velocity magnitude
-    a = taylor_green_field(np.array([0.3, 0.7, 0.0]), params)
-    b = taylor_green_field(np.array([0.3, 0.7, 1.0]), params)
+    a = taylor_green_field(np.array([0.3, 0.7, 0.0]), nu)
+    b = taylor_green_field(np.array([0.3, 0.7, 1.0]), nu)
     decay = math.exp(-2 * PI * PI * 0.01)
     assert np.allclose(b.u, decay * a.u, atol=1e-14)
 
 
 def test_vortex_derivatives_match_finite_differences():
-    params = TaylorGreenParams(nu=0.05)
+    nu = 0.05
     g = np.random.default_rng(0)
     h = 1e-6
 
     def vel(z):
-        return taylor_green_field(z, params).u
+        return taylor_green_field(z, nu).u
 
     def pres(z):
-        return taylor_green_field(z, params).p_val
+        return taylor_green_field(z, nu).p_val
 
     for _ in range(20):
         z = g.uniform(0, 1, 3)
-        fe = taylor_green_field(z, params)
+        fe = taylor_green_field(z, nu)
         for j, col in enumerate(("x", "y", "t")):
             e = np.zeros(3)
             e[j] = h
@@ -67,12 +66,11 @@ def test_vortex_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("nu", [1e-3, 1e-2])
 def test_vortex_solves_the_equations(nu):
-    params = TaylorGreenParams(nu=nu)
     g = np.random.default_rng(42)
     worst_r, worst_div = 0.0, 0.0
     for _ in range(500):
         z = g.uniform(0, 1, 3)
-        fe = taylor_green_field(z, params)
+        fe = taylor_green_field(z, nu)
         worst_r = max(worst_r, float(np.max(np.abs(momentum_residual(fe, nu)))))
         worst_div = max(worst_div, abs(fe.div_u))
     assert worst_r < 1e-10
@@ -80,21 +78,20 @@ def test_vortex_solves_the_equations(nu):
 
 
 def test_vortex_zero_empirical_risk():
-    params = TaylorGreenParams(nu=0.01)
     cfg = LossConfig(nu=0.01)
     colloc = CollocationSet(interior=sample_interior(50, UNIT_BOX, 0),
-                            initial=sample_initial(30, UNIT_BOX[:2], 1))
-    field = lambda z: taylor_green_field(z, params)
-    rb = empirical_risk(field, cfg, colloc,
-                        initial_targets(taylor_green_initial(params), colloc.initial))
+                            initial=sample_initial(30, UNIT_BOX[:2], 1),
+                            f0=taylor_green_initial(0.01))
+    field = lambda z: taylor_green_field(z, 0.01)
+    rb = empirical_risk(field, cfg, colloc)
     assert rb.total < 1e-12
 
 
 def test_vortex_input_validation():
+    with pytest.raises(ValueError, match="nu must be > 0"):
+        taylor_green_field(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
-        TaylorGreenParams(nu=0.0)
-    with pytest.raises(ValueError):
-        taylor_green_field(np.zeros(4), TaylorGreenParams())
+        taylor_green_field(np.zeros(4), 0.01)
 
 
 def test_samplers_respect_box_and_seed():
@@ -171,13 +168,11 @@ def test_measure_gap_zero_weight_network():
     spec = ActivationSpec.from_name("tanh", 3)
     weights = init_weights(2, 8, seed=0, w_scale=0.0)
     cfg = LossConfig()
-    params = TaylorGreenParams(nu=cfg.nu)
     colloc = CollocationSet(interior=sample_interior(20, UNIT_BOX, 5),
-                            initial=sample_initial(15, UNIT_BOX[:2], 6))
-    f0 = taylor_green_initial(params)
-    train_risk = risk_breakdown(weights, spec, cfg, colloc,
-                                initial_targets(f0, colloc.initial)).total
-    rep = measure_gap(SweepConfig(population_factor=20), weights, colloc, train_risk, f0, 9)
+                            initial=sample_initial(15, UNIT_BOX[:2], 6),
+                            f0=taylor_green_initial(cfg.nu))
+    train_risk = risk_breakdown(weights, spec, cfg, colloc).total
+    rep = measure_gap(SweepConfig(population_factor=20), weights, colloc, train_risk, 9)
     assert rep.N_r == 20 and rep.N_0 == 15 and rep.train_risk == train_risk
     assert rep.gap == abs(rep.train_risk - rep.population_estimate)
     assert rep.gap < 0.05
@@ -185,7 +180,17 @@ def test_measure_gap_zero_weight_network():
     assert rep.bound.term_initial == 0.0   # B_w = 0 and c0 = 0
     assert (rep.bound.C_z, rep.bound.C_z0) == moment_constants(UNIT_BOX)
     with pytest.raises(ValueError, match="population_factor"):
-        measure_gap(SweepConfig(population_factor=2, n_0=1080), weights, colloc, train_risk, f0, 9)
+        measure_gap(SweepConfig(population_factor=2, n_0=1080), weights, colloc, train_risk, 9)
+
+
+def test_measure_gap_scores_against_the_training_sets_f0():
+    # zero W with tanh^3 outputs the zero field, whose residual and divergence
+    # vanish: against the zero initial condition its population risk is 0
+    weights = init_weights(2, 8, seed=0, w_scale=0.0)
+    colloc = CollocationSet(interior=sample_interior(20, UNIT_BOX, 5),
+                            initial=sample_initial(15, UNIT_BOX[:2], 6), f0=np.zeros_like)
+    rep = measure_gap(SweepConfig(population_factor=20), weights, colloc, 0.0, 9)
+    assert rep.population_estimate == 0.0 and rep.gap == 0.0
 
 
 def test_sweep_config_needs_three_rows():
@@ -288,9 +293,9 @@ def test_sweep_row_scores_its_training_set_once(monkeypatch):
     # reuses it, so it scores that set once and then only its population sample
     calls = []
 
-    def counted(weights, spec, cfg, colloc, F0):
+    def counted(weights, spec, cfg, colloc):
         calls.append((weights, colloc))
-        return risk_breakdown(weights, spec, cfg, colloc, F0)
+        return risk_breakdown(weights, spec, cfg, colloc)
 
     monkeypatch.setattr(training, "risk_breakdown", counted)
     monkeypatch.setattr(experiment, "risk_breakdown", counted)
@@ -299,8 +304,7 @@ def test_sweep_row_scores_its_training_set_once(monkeypatch):
     row = sweep_row(cfg, 1)
     assert len(calls) == 2
     weights, colloc = calls[0]
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.loss.nu))
     assert colloc.n_interior == row.N_r == 12
-    assert row.train_risk == risk_breakdown(weights, cfg.activation, cfg.loss, colloc,
-                                            initial_targets(f0, colloc.initial)).total
+    assert np.array_equal(colloc.targets, taylor_green_initial(cfg.loss.nu)(colloc.initial))
+    assert row.train_risk == risk_breakdown(weights, cfg.activation, cfg.loss, colloc).total
     assert (row.bound.C_z, row.bound.C_z0) == moment_constants(cfg.box)

@@ -97,12 +97,11 @@ def test_risk_breakdown_peak_memory():
     weights = init_weights(d, p, seed=0)
     g = np.random.default_rng(0)
     colloc = CollocationSet(interior=g.uniform(0.0, 1.0, (n, d + 1)),
-                            initial=g.uniform(0.0, 1.0, (n, d)))
-    F0 = np.zeros((n, d))
+                            initial=g.uniform(0.0, 1.0, (n, d)), f0=np.zeros_like)
     fields(weights, spec, colloc.interior[:3])  # build the cached coefficients outside the trace
     tracemalloc.start()
     try:
-        risk = risk_breakdown(weights, spec, LossConfig(), colloc, F0)
+        risk = risk_breakdown(weights, spec, LossConfig(), colloc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,8 +16,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as P
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights,
-                       TaylorGreenParams, eval_derivs, field_eval, fields, grad_risk,
-                       huber_grad, init_weights, initial_targets, load_checkpoint,
+                       eval_derivs, field_eval, fields, grad_risk, huber_grad,
+                       init_weights, load_checkpoint,
                        momentum_residual, risk_breakdown, save_checkpoint,
                        taylor_green_field, taylor_green_initial)
 from pinnbound.activations import _BLOCK
@@ -135,7 +135,7 @@ def test_fields_values_only_matches_full_call(spec, d, p, seed, n):
 def colloc_for(seed, d, n_r, n_0):
     g = np.random.default_rng(seed)
     return CollocationSet(interior=g.uniform(-1, 1, (n_r, d + 1)),
-                          initial=g.uniform(-1, 1, (n_0, d)))
+                          initial=g.uniform(-1, 1, (n_0, d)), f0=f0_sin)
 
 
 @PROPERTY
@@ -165,22 +165,21 @@ def test_fields_rows_match_field_eval(d, p, spec, seed, a, b):
 @PROPERTY
 @given(seed=seeds, n=st.integers(1, 9), nu=st.floats(1e-3, 0.1))
 def test_batched_vortex_matches_per_point_calls(seed, n, nu):
-    params = TaylorGreenParams(nu=nu)
     Z = np.random.default_rng(seed).uniform(0, 2, (n, 3))
-    batch = taylor_green_field(Z, params)
+    batch = taylor_green_field(Z, nu)
     for i, z in enumerate(Z):
-        one = taylor_green_field(z, params)
+        one = taylor_green_field(z, nu)
         for name, val in vars(one).items():
             np.testing.assert_allclose(val, getattr(batch, name)[i],
                                        rtol=1e-14, atol=1e-15, err_msg=name)
-    f0 = taylor_green_initial(params)
+    f0 = taylor_green_initial(nu)
     X = Z[:, :2]
-    F0 = f0(X)
-    assert F0.shape == X.shape
-    for x, row in zip(X, F0):
+    targets = f0(X)
+    assert targets.shape == X.shape
+    for x, row in zip(X, targets):
         np.testing.assert_allclose(f0(x), row, rtol=1e-14, atol=1e-15)
     # leading axes of any rank broadcast
-    assert taylor_green_field(Z.reshape(n, 1, 3), params).jac_u.shape == (n, 1, 2, 2)
+    assert taylor_green_field(Z.reshape(n, 1, 3), nu).jac_u.shape == (n, 1, 2, 2)
 
 
 @PROPERTY
@@ -190,12 +189,11 @@ def test_risk_breakdown_permutation_invariant(d, p, spec, seed, n_r, n_0):
     weights = init_weights(d, p, seed=seed)
     colloc = colloc_for(seed + 1, d, n_r, n_0)
     cfg = LossConfig(delta=0.5, lambda0=1.2, lambda1=0.7, nu=0.03)
-    base = risk_breakdown(weights, spec, cfg, colloc, initial_targets(f0_sin, colloc.initial))
+    base = risk_breakdown(weights, spec, cfg, colloc)
     g = np.random.default_rng(seed + 2)
     shuffled = CollocationSet(interior=colloc.interior[g.permutation(n_r)],
-                              initial=colloc.initial[g.permutation(n_0)])
-    again = risk_breakdown(weights, spec, cfg, shuffled,
-                           initial_targets(f0_sin, shuffled.initial))
+                              initial=colloc.initial[g.permutation(n_0)], f0=f0_sin)
+    again = risk_breakdown(weights, spec, cfg, shuffled)
     assert again.momentum_term == base.momentum_term
     assert again.divergence_term == base.divergence_term
     assert again.initial_term == base.initial_term
@@ -210,8 +208,7 @@ def test_grad_risk_matches_finite_differences(d, p, spec, seed, delta, lambda0,
     weights = init_weights(d, p, seed=seed)
     colloc = colloc_for(seed + 1, d, 5, 4)
     cfg = LossConfig(delta=delta, lambda0=lambda0, lambda1=lambda1, nu=nu)
-    F0 = initial_targets(f0_sin, colloc.initial)
-    G = grad_risk(weights, spec, cfg, colloc, F0)
+    G = grad_risk(weights, spec, cfg, colloc)
     h = 1e-6
     F = np.zeros_like(G)
     for i in range(p):
@@ -219,13 +216,13 @@ def test_grad_risk_matches_finite_differences(d, p, spec, seed, delta, lambda0,
             for step in (h, -h):
                 w = weights.copy()
                 w.W[i, j] += step
-                F[i, j] += np.sign(step) * risk_breakdown(w, spec, cfg, colloc, F0).total
+                F[i, j] += np.sign(step) * risk_breakdown(w, spec, cfg, colloc).total
     F /= 2 * h
     scale = max(float(np.max(np.abs(F))), 1e-6)
     assert float(np.max(np.abs(G - F))) / scale < 1e-5
 
 
-def reference_grad_risk(weights, spec, cfg, colloc, F0):
+def reference_grad_risk(weights, spec, cfg, colloc):
     """dR/dW term by term over (N, p) arrays: the terms proportional to
     z_j, collected as alpha[n, q] * Z[n, j], then the terms of the
     explicit W entries inside the closed forms, then the t = 0 term."""
@@ -256,7 +253,7 @@ def reference_grad_risk(weights, spec, cfg, colloc, F0):
     G /= colloc.n_interior
     Z0 = colloc.initial_spacetime
     fe0, (_, s1_0, _, _) = fields(weights, spec, Z0, derivatives=False)
-    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - F0)
+    g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - colloc.targets)
     return G + ((g0 @ A1) * s1_0).T @ Z0 / colloc.n_initial
 
 
@@ -270,9 +267,8 @@ def test_grad_risk_matches_term_by_term_reference(d, p, spec, seed, n_r, n_0, de
     weights = init_weights(d, p, seed=seed)
     colloc = colloc_for(seed + 1, d, n_r, n_0)
     cfg = LossConfig(delta=delta, lambda0=lambda0, lambda1=lambda1, nu=nu)
-    F0 = initial_targets(f0_sin, colloc.initial)
-    G = grad_risk(weights, spec, cfg, colloc, F0)
-    ref = reference_grad_risk(weights, spec, cfg, colloc, F0)
+    G = grad_risk(weights, spec, cfg, colloc)
+    ref = reference_grad_risk(weights, spec, cfg, colloc)
     assert G.shape == ref.shape == (p, d + 1)
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 

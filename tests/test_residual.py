@@ -5,8 +5,8 @@ import pytest
 
 from pinnbound import (ActivationSpec, CollocationSet, FieldEval, LossConfig,
                        empirical_risk, field_eval, huber, huber_grad,
-                       init_weights, initial_losses, initial_targets, loss_init,
-                       loss_res, momentum_residual)
+                       init_weights, initial_losses, loss_init, loss_res,
+                       momentum_residual)
 
 
 def still_field(u, z):
@@ -90,17 +90,16 @@ def test_loss_init_hand_case():
 
 def test_initial_losses_are_loss_init_per_point(rng):
     cfg = LossConfig(delta=0.6, lambda1=0.7)
-    u0, F0 = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
-    assert initial_losses(u0, F0, cfg).tolist() == [loss_init(u, f, cfg) for u, f in zip(u0, F0)]
+    u0, targets = rng.normal(size=(9, 2)), rng.normal(size=(9, 2))
+    assert initial_losses(u0, targets, cfg).tolist() == [loss_init(u, f, cfg) for u, f in zip(u0, targets)]
 
 
 def test_empirical_risk_still_field():
     # constant field: zero residual and divergence, only the initial miss
     cfg = LossConfig(delta=1.0, lambda0=1.0, lambda1=0.3)
-    colloc = CollocationSet(interior=np.zeros((4, 3)), initial=np.zeros((2, 2)))
+    colloc = CollocationSet(interior=np.zeros((4, 3)), initial=np.zeros((2, 2)), f0=np.zeros_like)
     field = lambda z: still_field([0.5, 0.0], z)
-    f0 = np.zeros_like
-    rb = empirical_risk(field, cfg, colloc, initial_targets(f0, colloc.initial))
+    rb = empirical_risk(field, cfg, colloc)
     assert rb.momentum_term == 0.0
     assert rb.divergence_term == 0.0
     assert abs(rb.initial_term - 0.3 * 0.5 * 0.25) < 1e-15
@@ -110,10 +109,10 @@ def test_empirical_risk_still_field():
 def test_empirical_risk_averages():
     cfg = LossConfig(delta=10.0, lambda0=0.0, lambda1=1.0)
     colloc = CollocationSet(interior=np.zeros((3, 3)),
-                            initial=np.array([[0.0, 0.0], [1.0, 0.0]]))
+                            initial=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                            f0=lambda x: x * [1.0, 0.0])  # miss grows with x
     field = lambda z: still_field([0.0, 0.0], z)
-    f0 = lambda x: x * [1.0, 0.0]  # miss grows with x
-    rb = empirical_risk(field, cfg, colloc, initial_targets(f0, colloc.initial))
+    rb = empirical_risk(field, cfg, colloc)
     assert abs(rb.initial_term - 0.5 * (0.0 + 0.5)) < 1e-15
 
 
@@ -125,13 +124,11 @@ def test_empirical_risk_permutation_invariant(rng):
     cfg = LossConfig()
     interior = rng.uniform(0, 1, (17, 3))
     initial = rng.uniform(0, 1, (13, 2))
-    base = empirical_risk(field, cfg, CollocationSet(interior, initial),
-                          initial_targets(f0, initial))
+    base = empirical_risk(field, cfg, CollocationSet(interior, initial, f0))
     for _ in range(3):
         pi = rng.permutation(17)
         pj = rng.permutation(13)
-        shuf = empirical_risk(field, cfg, CollocationSet(interior[pi], initial[pj]),
-                              initial_targets(f0, initial[pj]))
+        shuf = empirical_risk(field, cfg, CollocationSet(interior[pi], initial[pj], f0))
         assert shuf.momentum_term == base.momentum_term
         assert shuf.divergence_term == base.divergence_term
         assert shuf.initial_term == base.initial_term
@@ -147,18 +144,34 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LossConfig(lambda0=-1.0)
     with pytest.raises(ValueError):
-        CollocationSet(interior=np.zeros((0, 3)), initial=np.zeros((1, 2)))
+        CollocationSet(interior=np.zeros((0, 3)), initial=np.zeros((1, 2)), f0=np.zeros_like)
     with pytest.raises(ValueError):
-        CollocationSet(interior=np.zeros((2, 3)), initial=np.zeros((1, 3)))
+        CollocationSet(interior=np.zeros((2, 3)), initial=np.zeros((1, 3)), f0=np.zeros_like)
     bad = np.zeros((2, 3))
     bad[0, 0] = math.inf
     with pytest.raises(ValueError):
-        CollocationSet(interior=bad, initial=np.zeros((1, 2)))
+        CollocationSet(interior=bad, initial=np.zeros((1, 2)), f0=np.zeros_like)
+
+
+def test_collocation_set_targets_come_from_one_f0_call():
+    calls = []
+
+    def f0(x):
+        calls.append(x)
+        return x * [2.0, -1.0]
+    initial = np.random.default_rng(4).uniform(0, 1, (6, 2))
+    colloc = CollocationSet(interior=np.zeros((2, 3)), initial=initial, f0=f0)
+    assert len(calls) == 1 and colloc.f0 is f0
+    assert np.array_equal(colloc.targets, initial * [2.0, -1.0])
+    # an f0 whose output shape is not that of the initial points is rejected
+    for wrong in (lambda x: x[:, :1], lambda x: x[:-1], lambda x: x.sum()):
+        with pytest.raises(ValueError, match=r"f0 maps points \(6, 2\) to"):
+            CollocationSet(interior=np.zeros((2, 3)), initial=initial, f0=wrong)
 
 
 def test_initial_spacetime_built_once():
     initial = np.random.default_rng(3).uniform(0, 1, (5, 2))
-    colloc = CollocationSet(interior=np.zeros((2, 3)), initial=initial)
+    colloc = CollocationSet(interior=np.zeros((2, 3)), initial=initial, f0=np.zeros_like)
     z0 = colloc.initial_spacetime
     assert colloc.initial_spacetime is z0
     assert np.array_equal(z0, np.hstack([initial, np.zeros((5, 1))]))

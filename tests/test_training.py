@@ -11,8 +11,7 @@ import pinnbound
 from pinnbound import training
 from pinnbound import (ActivationSpec, FieldEval, LossConfig, OptimState, PinnWeights,
                        TrainConfig, adamw_step, empirical_risk, field_eval,
-                       grad_risk, init_weights, initial_targets, risk_breakdown,
-                       train)
+                       grad_risk, init_weights, risk_breakdown, train)
 
 from conftest import FAMILIES, random_colloc, random_net
 
@@ -23,8 +22,7 @@ def f0_demo(x):
     return np.stack([np.sin(x[..., 0]), np.cos(x[..., 1])], axis=-1)
 
 
-def fd_grad(weights, spec, cfg, colloc, f0, h=1e-6):
-    F0 = initial_targets(f0, colloc.initial)
+def fd_grad(weights, spec, cfg, colloc, h=1e-6):
     G = np.zeros_like(weights.W)
     for i in range(weights.p):
         for j in range(weights.d + 1):
@@ -32,7 +30,7 @@ def fd_grad(weights, spec, cfg, colloc, f0, h=1e-6):
                 w = weights.copy()
                 w.W[i, j] += s
                 field = lambda z: field_eval(w, spec, z)
-                G[i, j] += sign * empirical_risk(field, cfg, colloc, F0).total
+                G[i, j] += sign * empirical_risk(field, cfg, colloc).total
     return G / (2 * h)
 
 
@@ -55,10 +53,9 @@ def test_risk_breakdown_matches_generic_evaluator():
     for spec in FAMILIES:
         for seed, (n_r, n_0) in enumerate(zip(sizes, sizes[1:] + sizes[:1])):
             weights = random_net(seed, d=2, p=p)
-            colloc = random_colloc(seed + 100, d=2, n_r=n_r, n_0=n_0)
-            F0 = initial_targets(f0_demo, colloc.initial)
-            batched = risk_breakdown(weights, spec, cfg, colloc, F0)
-            looped = empirical_risk(per_point_field(weights, spec), cfg, colloc, F0)
+            colloc = random_colloc(seed + 100, f0_demo, d=2, n_r=n_r, n_0=n_0)
+            batched = risk_breakdown(weights, spec, cfg, colloc)
+            looped = empirical_risk(per_point_field(weights, spec), cfg, colloc)
             assert abs(batched.momentum_term - looped.momentum_term) < 1e-12
             assert abs(batched.divergence_term - looped.divergence_term) < 1e-12
             assert abs(batched.initial_term - looped.initial_term) < 1e-12
@@ -68,10 +65,10 @@ def test_risk_breakdown_matches_generic_evaluator():
 def test_gradient_matches_finite_differences(spec, rng):
     for seed in range(2):
         weights = random_net(seed, d=2, p=3)
-        colloc = random_colloc(seed + 7, d=2, n_r=5, n_0=4)
+        colloc = random_colloc(seed + 7, f0_demo, d=2, n_r=5, n_0=4)
         cfg = LossConfig(delta=0.9, lambda0=0.8, lambda1=0.5, nu=0.02)
-        G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0_demo, colloc.initial))
-        F = fd_grad(weights, spec, cfg, colloc, f0_demo)
+        G = grad_risk(weights, spec, cfg, colloc)
+        F = fd_grad(weights, spec, cfg, colloc)
         scale = max(np.max(np.abs(F)), 1e-8)
         assert np.max(np.abs(G - F)) / scale < 1e-5
 
@@ -83,11 +80,10 @@ def test_gradient_one_dimensional_case(rng):
     colloc_int = g.uniform(0, 1, (4, 2))
     colloc_init = g.uniform(0, 1, (3, 1))
     from pinnbound import CollocationSet
-    colloc = CollocationSet(interior=colloc_int, initial=colloc_init)
+    colloc = CollocationSet(interior=colloc_int, initial=colloc_init, f0=np.sin)
     cfg = LossConfig(delta=1.0, lambda0=0.6, lambda1=0.2, nu=0.05)
-    f0 = np.sin
-    G = grad_risk(weights, TANH, cfg, colloc, initial_targets(f0, colloc.initial))
-    F = fd_grad(weights, TANH, cfg, colloc, f0)
+    G = grad_risk(weights, TANH, cfg, colloc)
+    F = fd_grad(weights, TANH, cfg, colloc)
     assert np.max(np.abs(G - F)) / max(np.max(np.abs(F)), 1e-8) < 1e-5
 
 
@@ -96,10 +92,8 @@ def test_gradient_zero_at_exact_fit():
     # initial condition the risk is identically flat in the linear region
     spec = ActivationSpec.from_name("tanh", 3)
     weights = init_weights(2, 4, seed=0, w_scale=0.0)
-    colloc = random_colloc(1, d=2, n_r=6, n_0=4)
-    cfg = LossConfig()
-    f0 = np.zeros_like
-    G = grad_risk(weights, spec, cfg, colloc, initial_targets(f0, colloc.initial))
+    colloc = random_colloc(1, np.zeros_like, d=2, n_r=6, n_0=4)
+    G = grad_risk(weights, spec, LossConfig(), colloc)
     assert np.all(G == 0.0)
 
 
@@ -146,11 +140,11 @@ def test_adamw_shape_check():
 def test_train_decreases_risk_and_is_deterministic():
     spec = ActivationSpec.from_name("tanh", 3)
     weights0 = init_weights(2, 8, seed=5)
-    colloc = random_colloc(6, d=2, n_r=16, n_0=8)
+    colloc = random_colloc(6, f0_demo, d=2, n_r=16, n_0=8)
     cfg = LossConfig()
     tc = TrainConfig(epochs=200, log_every=50)
-    w1, h1 = train(weights0, spec, cfg, colloc, f0_demo, tc)
-    w2, h2 = train(weights0, spec, cfg, colloc, f0_demo, tc)
+    w1, h1 = train(weights0, spec, cfg, colloc, tc)
+    w2, h2 = train(weights0, spec, cfg, colloc, tc)
     assert np.array_equal(w1.W, w2.W)
     assert [(e, rb.total) for e, rb in h1] == [(e, rb.total) for e, rb in h2]
     assert h1[-1][1].total < h1[0][1].total
@@ -162,9 +156,8 @@ def test_train_decreases_risk_and_is_deterministic():
 def test_train_history_epochs():
     spec = ActivationSpec.from_name("tanh", 1)
     weights0 = init_weights(2, 4, seed=0)
-    colloc = random_colloc(0, d=2, n_r=4, n_0=3)
-    _, hist = train(weights0, spec, LossConfig(), colloc, f0_demo,
-                    TrainConfig(epochs=7, log_every=3))
+    colloc = random_colloc(0, f0_demo, d=2, n_r=4, n_0=3)
+    _, hist = train(weights0, spec, LossConfig(), colloc, TrainConfig(epochs=7, log_every=3))
     assert [e for e, _ in hist] == [3, 6, 7]
 
 
@@ -181,10 +174,10 @@ def test_train_config_validation():
 def test_train_reports_divergence():
     spec = ActivationSpec.from_name("tanh", 1)
     weights0 = init_weights(2, 4, seed=0)
-    colloc = random_colloc(0, d=2, n_r=4, n_0=3)
+    colloc = random_colloc(0, f0_demo, d=2, n_r=4, n_0=3)
     tc = TrainConfig(epochs=5, learning_rate=1e160, weight_decay=0.0, log_every=1)
     with pytest.raises(RuntimeError):
-        train(weights0, spec, LossConfig(), colloc, f0_demo, tc)
+        train(weights0, spec, LossConfig(), colloc, tc)
 
 
 # The desk `train` (tanh^3, p = 64, N_r = 216, N_0 = 500) run for 20 epochs,
@@ -192,14 +185,13 @@ def test_train_reports_divergence():
 FAULT_PROBE = """
 import resource
 import numpy as np
-from pinnbound import (ActivationSpec, CollocationSet, LossConfig, TaylorGreenParams,
-                       TrainConfig, init_weights, sample_initial, sample_interior,
-                       taylor_green_initial, train)
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, TrainConfig,
+                       init_weights, sample_initial, sample_interior, taylor_green_initial,
+                       train)
 box = np.array([(0.0, 1.0)] * 3)
 colloc = CollocationSet(interior=sample_interior(216, box, 0),
-                        initial=sample_initial(500, box[:-1], 1))
-args = (init_weights(2, 64, seed=2), ActivationSpec.from_name("tanh", 3), LossConfig(),
-        colloc, taylor_green_initial(TaylorGreenParams()))
+                        initial=sample_initial(500, box[:-1], 1), f0=taylor_green_initial(0.01))
+args = (init_weights(2, 64, seed=2), ActivationSpec.from_name("tanh", 3), LossConfig(), colloc)
 train(*args, TrainConfig(epochs=20))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 train(*args, TrainConfig(epochs=100))

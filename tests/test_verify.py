@@ -10,9 +10,8 @@ from pinnbound import (ActivationSpec, CheckReport, ConstraintGrid, LossConfig,
                        check_abs_removal, check_contraction_product,
                        check_contraction_single, check_symmetrization,
                        field_eval, init_weights, rademacher_linear)
-from pinnbound.experiment import TaylorGreenParams, taylor_green_initial
-from pinnbound.residual import (CollocationSet, empirical_risk, initial_targets,
-                                loss_init, loss_res)
+from pinnbound.experiment import taylor_green_initial
+from pinnbound.residual import CollocationSet, empirical_risk, loss_init, loss_res
 from pinnbound.verify import _mc_stats, suite
 
 
@@ -163,7 +162,7 @@ def test_symmetrization_networks():
     spec = ActivationSpec.from_name("tanh", 3)
     hyps = make_net_hypotheses(3, spec, seed=10)
     cfg = LossConfig()
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    f0 = taylor_green_initial(cfg.nu)
     rep = check_symmetrization(hyps, cfg, unit_sampler, f0,
                                n_points=8, n_trials=150, seed=0,
                                population_points=2000)
@@ -177,7 +176,7 @@ def test_symmetrization_pinned_values():
     spec = ActivationSpec.from_name("tanh", 3)
     hyps = make_net_hypotheses(3, spec, seed=10)
     cfg = LossConfig()
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    f0 = taylor_green_initial(cfg.nu)
     rep = check_symmetrization(hyps, cfg, unit_sampler, f0, n_points=8, n_trials=20, seed=0)
     np.testing.assert_allclose([rep.lhs, rep.rhs, rep.std_error],
                                [0.08753436639750764, 0.26635120187405237, 0.150920164926022],
@@ -263,7 +262,7 @@ def test_symmetrization_single_hypothesis_gap_near_zero():
     spec = ActivationSpec.from_name("tanh", 1)
     hyps = make_net_hypotheses(1, spec, seed=4)
     cfg = LossConfig()
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    f0 = taylor_green_initial(cfg.nu)
     rep = check_symmetrization(hyps, cfg, unit_sampler, f0,
                                n_points=8, n_trials=150, seed=1,
                                population_points=4000)
@@ -277,23 +276,20 @@ def test_symmetrization_single_hypothesis_gap_near_zero():
 def reference_symmetrization(hypotheses, loss_cfg, sampler, f0, n_points, n_trials,
                              seed, population_points):
     """The symmetrization check written trial by trial, the oracle for the
-    batched form: one point set, one target table and two calls of each
+    batched form: one point set, with its targets, and two calls of each
     hypothesis per trial.  Returns (lhs, rhs, std_error)."""
     rng_pop = np.random.default_rng((seed, 0xF00D))
-    pop_set = CollocationSet(*sampler(rng_pop, population_points))
-    pop_F0 = initial_targets(f0, pop_set.initial)
-    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set, pop_F0).total
-                         for h in hypotheses])
+    pop_set = CollocationSet(*sampler(rng_pop, population_points), f0)
+    pop_risk = np.array([empirical_risk(h, loss_cfg, pop_set).total for h in hypotheses])
     gap_vals = np.empty(n_trials)
     rad_vals = np.empty(n_trials)
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
-        trial = CollocationSet(*sampler(rng, n_points))
-        F0 = initial_targets(f0, trial.initial)
+        trial = CollocationSet(*sampler(rng, n_points), f0)
         res_losses = np.array([[loss_res(fe, loss_cfg) for fe in h(trial.interior).rows()]
                                for h in hypotheses])
         init_losses = np.array([[loss_init(u, f0_val, loss_cfg)
-                                 for u, f0_val in zip(h(trial.initial_spacetime).u, F0)]
+                                 for u, f0_val in zip(h(trial.initial_spacetime).u, trial.targets)]
                                 for h in hypotheses])
         emp = res_losses.mean(axis=1) + init_losses.mean(axis=1)
         gap_vals[t] = np.max(emp - pop_risk)
@@ -314,7 +310,7 @@ def test_symmetrization_matches_per_trial_reference(n_hyp, n_points, n_trials, s
     spec = ActivationSpec.from_name("tanh", 3)
     hyps = make_net_hypotheses(n_hyp, spec, seed=seed)
     cfg = LossConfig()
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    f0 = taylor_green_initial(cfg.nu)
     args = (hyps, cfg, unit_sampler, f0)
     kw = dict(n_points=n_points, n_trials=n_trials, seed=seed, population_points=50)
     rep = check_symmetrization(*args, **kw)
@@ -329,7 +325,7 @@ def test_symmetrization_peak_memory():
     spec = ActivationSpec.from_name("tanh", 3)
     hyps = make_net_hypotheses(3, spec, seed=50)
     cfg = LossConfig()
-    f0 = taylor_green_initial(TaylorGreenParams(nu=cfg.nu))
+    f0 = taylor_green_initial(cfg.nu)
     check_symmetrization(hyps, cfg, unit_sampler, f0, n_points=2, n_trials=2,
                          population_points=10)  # warm caches outside the trace
     tracemalloc.start()
