@@ -3,13 +3,12 @@
 One JSON config is the single source of truth: the preset, the --config
 file, then each --set a.b=v (the document {"a": {"b": v}}) merge into
 DEFAULT_CONFIG, a section key by key and any other value by replacing it.
-Every artifact embeds the resolved config and the version string, and no
-timestamps, so identical configs produce byte-identical outputs.
+Every artifact embeds the settings its command reads and the version string,
+and no timestamps, so identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure, 130 interrupted (Ctrl-C).  A closed stdout drops
-the rest of the report and changes neither the work, the artifacts nor
-the exit code.
+Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
+failure, 130 interrupted (Ctrl-C).  A closed stdout drops the rest of the
+report and changes neither the work, the artifacts nor the exit code.
 """
 
 from __future__ import annotations
@@ -57,22 +56,33 @@ PRESETS = {
 
 _BOXES = {"unit": UNIT_BOX, "figure1": FIGURE1_BOX}
 
+# The settings each command ignores (a section stands for all its keys): it records and builds
+# only the others.  The sweep's rows take N_r from `sweep.n_r_values`, sqrt C_z, the paper's
+# bound and the default W scale.
+_IGNORES = {
+    "train": ("bound", "verify", "sweep"),
+    "bound": ("dims", "training", "sampling.w_scale", "verify", "sweep", "seed"),
+    "verify": ("dims", "training", "sampling", "bound", "sweep"),
+    "sweep": ("sampling.n_r", "sampling.w_scale", "bound.cz_convention",
+              "bound.proof_variant", "verify"),
+}
+
 
 class UsageError(Exception):
     pass
 
 
-def _deep_update(base: dict, override: dict) -> None:
+def _deep_update(base: dict, override: dict) -> dict:
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(base.get(key), dict):
             _deep_update(base[key], val)
         else:
             base[key] = val
+    return base
 
 
 def resolve_config(args) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    _deep_update(cfg, copy.deepcopy(PRESETS.get(args.preset, {})))
+    cfg = _deep_update(copy.deepcopy(DEFAULT_CONFIG), copy.deepcopy(PRESETS.get(args.preset, {})))
     if args.config:
         try:
             with open(args.config) as fh:
@@ -162,20 +172,24 @@ def _check_config(cfg: dict) -> dict:
     return leaves
 
 
+def _read(cfg: dict, command: str) -> dict:
+    """The settings of a checked config that `command` reads."""
+    ignored = _IGNORES[command]
+    return {key: {sub: v for sub, v in val.items() if f"{key}.{sub}" not in ignored}
+            if isinstance(val, dict) else val for key, val in cfg.items() if key not in ignored}
+
+
 def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig:
-    """Every typed setting of a resolved config, built once, after the schema
-    check and the check of the settings that the sweep ignores: its rows take
-    N_r from `sweep.n_r_values`, sqrt C_z, the paper's bound and the default
-    W scale, so those count as given where they differ from the preset's.
-    The library's range checks (the box's too) become usage errors.  Only the
-    sweep reads the `sweep` section; the other commands take its defaults.
-    `train` and `sweep` solve the 2-dimensional vortex."""
+    """The typed settings `command` reads, after the schema check of the whole config; those it
+    ignores keep their defaults, and the sweep refuses its single ignored keys that differ from
+    the preset's.  Range errors are usage errors.  `train` and `sweep` solve the 2-d vortex."""
     given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
-    changed = [path for path, val in _check_config(cfg).items() if val != given[path] and path in (
-        "bound.cz_convention", "bound.proof_variant", "sampling.n_r", "sampling.w_scale")]
+    changed = [path for path, val in _check_config(cfg).items()
+               if path in _IGNORES["sweep"] and val != given[path]]
     if command == "sweep" and changed:
         raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
                          "`pinnbound bound` or `train` only")
+    cfg = _deep_update(copy.deepcopy(DEFAULT_CONFIG), _read(cfg, command))
     try:
         name = cfg["sampling"]["box"]
         box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
@@ -183,14 +197,13 @@ def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig
             raise ValueError(f"the vortex needs a sampling.box of three intervals "
                              f"(x, y, t), got {name!r}")
         override = cfg["bound"]["constants_override"]
-        sweep = cfg["sweep"] if command == "sweep" else DEFAULT_CONFIG["sweep"]
         return SweepConfig(
-            n_r_values=tuple(sweep["n_r_values"]), n_0=cfg["sampling"]["n_0"],
+            n_r_values=tuple(cfg["sweep"]["n_r_values"]), n_0=cfg["sampling"]["n_0"],
             width=cfg["dims"]["p"], box=box, seed=cfg["seed"],
             activation=ActivationSpec.from_name(cfg["activation"]["family"],
                                                 cfg["activation"]["k"]),
             loss=LossConfig(**cfg["loss"]), train=TrainConfig(**cfg["training"]),
-            population_factor=sweep["population_factor"],
+            population_factor=cfg["sweep"]["population_factor"],
             sigma_constants=SigmaConstants(**override) if override else None)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad config: {exc}")
@@ -302,19 +315,18 @@ def _row_path(out_dir: Path, s: SweepConfig, idx: int) -> Path:
     return out_dir / f"row_{idx:02d}_nr{s.n_r_values[idx]}.json"
 
 
-def _cached_rows(s: SweepConfig, out_dir: Path, preset: str | None) -> dict:
-    """Index -> GapReport of the reusable row files: those whose embedded
-    config gives the sweep settings `s` (under `preset`) and whose row
+def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
+    """Index -> GapReport of the row files that embed the sweep's settings `cfg` and whose row
     rebuilds to itself.  Any other row is computed again, its file rewritten."""
     cached = {}
     for idx in range(len(s.n_r_values)):
         try:
             doc = json.loads(_row_path(out_dir, s, idx).read_text())
             row = GapReport.from_dict(doc["row"])
-            if row.to_dict() == doc["row"] and _settings(doc["config"], "sweep", preset) == s:
+            if doc["config"] == cfg and row.to_dict() == doc["row"]:
                 cached[idx] = row
-        except (OSError, KeyError, TypeError, ValueError, AttributeError, UsageError):
-            pass                                   # not a whole row of a valid config
+        except (OSError, KeyError, TypeError, ValueError):
+            pass                                   # not a whole row
     return cached
 
 
@@ -325,9 +337,9 @@ def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapRepo
     return report
 
 
-def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path, preset: str | None) -> int:
+def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cached = _cached_rows(s, out_dir, preset)
+    cached = _cached_rows(cfg, s, out_dir)
 
     def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
         if idx in cached:
@@ -355,14 +367,12 @@ def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path, preset: str | None) -> i
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinnbound",
-        description="Train depth-2 flow networks, evaluate their "
-                    "norm-based generalization bound, verify the supporting "
-                    "inequalities, and run the bound-vs-gap sweep.")
+        description="Train depth-2 flow networks, evaluate their norm-based generalization "
+                    "bound, verify the supporting inequalities, and run the bound-vs-gap sweep.")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="dot-path config override")
-    parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="named config preset")
+    parser.add_argument("--preset", choices=sorted(PRESETS), help="named config preset")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("train", help="train a network; writes checkpoint + history CSV")
@@ -384,18 +394,16 @@ def main(argv=None) -> int:
         try:
             cfg = resolve_config(args)
             s = _settings(cfg, args.command, args.preset)
+            cfg = _read(cfg, args.command)          # what the command records
             out_dir = Path(args.out)
             # the commands create --out; its first existing ancestor must be a directory
             first = next((path for path in (out_dir, *out_dir.parents) if path.exists()), out_dir)
             if not first.is_dir():
                 raise UsageError(f"--out {out_dir}: {first} is not a directory")
-            if args.command == "train":
-                return cmd_train(cfg, s, out_dir)
             if args.command == "bound":
                 return cmd_bound(cfg, s, out_dir, args.checkpoint)
-            if args.command == "verify":
-                return cmd_verify(cfg, s, out_dir)
-            return cmd_sweep(cfg, s, out_dir, args.preset)
+            command = {"train": cmd_train, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
+            return command(cfg, s, out_dir)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1

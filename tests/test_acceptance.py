@@ -157,14 +157,15 @@ def test_criterion_6_bound_gap_sweep():
     bounds = [row.bound.total for row in out.rows]
     gaps = [row.gap for row in out.rows]
     decreasing = all(b > a for b, a in zip(bounds, bounds[1:]))
+    above = all(b >= g for b, g in zip(bounds, gaps))
     r = out.pearson_r
     elapsed = time.time() - t0
     ok = (out.failed_rows == [] and r is not None and r >= 0.5
-          and decreasing and elapsed < 1800)
+          and decreasing and above and elapsed < 1800)
     report("6 bound-vs-gap sweep", ok,
            f"pearson r {r:.3f}, bound column {['%.4g' % b for b in bounds]} "
            f"strictly decreasing: {decreasing}, gaps {['%.3g' % g for g in gaps]}, "
-           f"{elapsed:.0f}s")
+           f"bound >= gap in every row: {above}, {elapsed:.0f}s")
 
 
 def test_criterion_7_artifact_determinism(tmp_path):

@@ -66,6 +66,16 @@ def test_bound_constants_lambda_and_nu_linear():
     C1b, C2b = bound_constants(UNIT_STATS, TANH_SC, nu=0.01, lambda0=2.0)
     assert abs((C1b - C1a) - 2.0 * 2.0) < 1e-12   # 2 lambda0 B_f5 L_sigma'
     assert abs((C2b - C2a) - 2.0) < 1e-12
+    # affine in nu, with slopes 2 B_f4 L_sigma'' and B_f4 |c2|; sigmoid^2 has c2 != 0
+    stats = WeightStats(**{**UNIT_STATS_KW, "B_f4": 2.5})
+    for sc in (TANH_SC, constants(ActivationSpec.from_name("sigmoid", 2))):
+        (C1a, C2a), (C1b, C2b), (C1c, C2c) = (bound_constants(stats, sc, nu=nu, lambda0=1.0)
+                                              for nu in (0.01, 0.5, 2.0))
+        for lo, mid, hi, slope in ((C1a, C1b, C1c, 2.0 * 2.5 * sc.L_sigma2),
+                                   (C2a, C2b, C2c, 2.5 * abs(sc.c2))):
+            assert mid - lo == pytest.approx(0.49 * slope, rel=1e-12, abs=1e-12)
+            assert hi - mid == pytest.approx(1.5 * slope, rel=1e-12, abs=1e-12)
+    assert sc.c2 != 0
 
 
 def test_bound_constants_proof_variant():

@@ -378,25 +378,70 @@ def test_sweep_cache_recomputes_rows_of_another_config(tmp_path, capsys):
 
 
 def test_sweep_cache_reuses_rows_whose_sweep_settings_match(tmp_path, capsys):
-    # No row reads the `verify` section: changing it serves every row from its
-    # file, which keeps the config it was computed under.
+    # The sweep neither reads nor records the `verify` section: changing it
+    # serves every row from its file and writes the same files.
     out = tmp_path / "sweep"
     assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
-    rows = {name: blob for name, blob in _files(out).items() if name.name.startswith("row_")}
+    before = _files(out)
     capsys.readouterr()
     assert run(SWEEP_FAST + ["--set", "verify.n_draws=100", "--out", str(out), "sweep"]) == 0
     assert capsys.readouterr().out.count(": cached") == 3
-    assert {name: _files(out)[name] for name in rows} == rows
-    assert json.loads((out / "sweep.json").read_text())["config"]["verify"]["n_draws"] == 100
+    assert _files(out) == before
     # a setting that a row reads recomputes it
     assert run(SWEEP_FAST + ["--set", "loss.nu=0.02", "--out", str(out), "sweep"]) == 0
     assert "cached" not in capsys.readouterr().out
-    # a preset's settings are read under that preset: its sampling.n_r is not a change
-    fig = SWEEP_FAST + ["--preset", "figure1", "--out", str(tmp_path / "fig"), "sweep"]
-    assert run(fig) == 0
-    capsys.readouterr()
-    assert run(fig) == 0
-    assert capsys.readouterr().out.count(": cached") == 3
+
+
+def test_sweep_cache_is_shared_with_and_without_the_preset(tmp_path, capsys):
+    # A row file records only the settings that the sweep reads, so the same
+    # settings given by `--preset figure1` or one by one share its rows, in
+    # both directions, though the preset's sampling.n_r is not the default's.
+    out = tmp_path / "sweep"
+    by_preset = SWEEP_FAST + ["--preset", "figure1", "--out", str(out), "sweep"]
+    by_hand = SWEEP_FAST + ["--set", "sampling.box=figure1", "--out", str(out), "sweep"]
+    assert run(by_preset) == 0
+    before = _files(out)
+    for argv in (by_hand, by_preset):
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.count(": cached") == 3
+        assert _files(out) == before
+
+
+# Another valid value for one setting of each entry of `cli._IGNORES`.
+_ANOTHER = {"dims": "dims.p=5", "training": "training.epochs=21", "sampling": "sampling.n_r=9",
+            "sampling.n_r": "sampling.n_r=9", "sampling.w_scale": "sampling.w_scale=0.5",
+            "bound": "bound.proof_variant=true", "bound.proof_variant": "bound.proof_variant=true",
+            "bound.cz_convention": "bound.cz_convention=literal",
+            "verify": "verify.n_draws=100", "sweep": "sweep.population_factor=20", "seed": "seed=3"}
+
+
+@pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
+def test_settings_a_command_ignores_change_nothing_it_writes_sweep_included(tmp_path, capsys,
+                                                                           command):
+    # The table of ignored settings is true: changing one setting of each
+    # entry of the command's row leaves its artifacts (their `config`
+    # included), its printed lines and its exit code as they were.  The sweep
+    # refuses the single settings that it ignores, so there only `verify.*`.
+    ignored = cli._IGNORES[command]
+    assert all(entry in _SCHEMA or entry in DEFAULT_CONFIG for entry in ignored)
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 3, seed=0), ActivationSpec.from_name("tanh", 3), ck)
+
+    def outcome(sets, out):
+        capsys.readouterr()
+        code = run(SWEEP_FAST + VERIFY_FAST + sets + ["--out", str(out), command]
+                   + [str(ck)] * (command == "bound"))
+        return code, capsys.readouterr().out.replace(str(out), "OUT"), _files(out)
+
+    base = outcome([], tmp_path / "base")
+    assert base[0] == 0 and base[2]
+    for entry in ignored:
+        got = outcome(["--set", _ANOTHER[entry]], tmp_path / entry)
+        if command == "sweep" and "." in entry:
+            assert got == (1, "", {}), entry
+        else:
+            assert got == base, entry
 
 
 DIVERGENT = ["--set", "training.learning_rate=1e307", "--set", "training.epochs=3"]

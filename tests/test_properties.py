@@ -1,4 +1,5 @@
-"""Property-based tests of the batched closed forms and the risk.
+"""Property-based tests of the batched closed forms, the risk, and the
+bound's independence of the width and of an unused dimension.
 
 Examples are derandomized, so every run draws the same cases; the draws
 pick shapes, activation families and seeds, and numpy generators seeded
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as P
 
-from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights,
-                       eval_derivs, field_eval, fields, grad_risk, huber_grad,
-                       init_weights, load_checkpoint,
+from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights, constants,
+                       eval_derivs, field_eval, fields, generalization_bound, grad_risk,
+                       huber_grad, init_weights, load_checkpoint,
                        momentum_residual, risk_breakdown, save_checkpoint,
-                       taylor_green_field, taylor_green_initial)
+                       taylor_green_field, taylor_green_initial, weight_stats)
 from pinnbound.activations import _BLOCK
 
 from conftest import FAMILIES
@@ -130,6 +131,56 @@ def test_fields_values_only_matches_full_call(spec, d, p, seed, n):
     np.testing.assert_array_equal(values.p_val, full.p_val)
     assert all(val is None for name, val in vars(values).items()
                if name not in ("u", "p_val"))
+
+
+def field_scales(weights, spec, Z):
+    """The size of the terms that each `fields` entry sums, which scales its
+    rounding error: the closed form with every head by its magnitude and
+    every activation level by its power-sum scale, plus the next level's
+    scale times the size of the pre-activation's terms."""
+    _, scales = power_sum_stack(spec, Z @ weights.W.T)
+    size = np.abs(Z) @ np.abs(weights.W.T)
+    S0, S1, S2 = (scales[n] + scales[n + 1] * size for n in range(3))
+    W, A1, a2 = np.abs(weights.W), np.abs(weights.A1), np.abs(weights.a2)
+    Wx = W[:, :weights.d]
+    jac = np.einsum("nq,kq,qm->nkm", S1, A1, Wx)
+    return {"u": S0 @ A1.T, "p_val": S0 @ a2, "du_dt": S1 @ (W[:, -1:] * A1.T),
+            "grad_p": S1 @ (a2[:, None] * Wx), "jac_u": jac,
+            "lap_u": S2 @ (np.sum(Wx * Wx, axis=1)[:, None] * A1.T),
+            "div_u": jac.trace(axis1=1, axis2=2)}
+
+
+@PROPERTY
+@given(d=dims, p=widths, spec=families, seed=seeds, n=st.integers(1, 9))
+def test_splitting_every_hidden_unit_leaves_the_field_and_the_bound(d, p, spec, seed, n):
+    # The bound does not depend on the width: two copies of every unit, each
+    # with half its heads, are the same network at twice the width.  The
+    # fields agree to 1e-14 of their terms' size, the bound to 1e-14 of itself.
+    weights = init_weights(d, p, seed=seed)
+    split = PinnWeights(W=np.repeat(weights.W, 2, axis=0), A1=np.repeat(weights.A1, 2, axis=1) / 2,
+                        a2=np.repeat(weights.a2, 2) / 2)
+    Z = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, d + 1))
+    fe, fe_split = fields(weights, spec, Z)[0], fields(split, spec, Z)[0]
+    scales = field_scales(weights, spec, Z)
+    for name, ref in vars(fe).items():
+        assert np.all(np.abs(getattr(fe_split, name) - ref) <= 1e-14 * scales[name]), name
+    ref, got = (generalization_bound(weight_stats(w), constants(spec), LossConfig(),
+                                     N_r=64, N_0=100, C_z=1.0, C_z0=0.8) for w in (weights, split))
+    for name in ("C1", "C2", "term_interior", "term_initial", "total"):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-14 * abs(getattr(ref, name)), name
+
+
+@PROPERTY
+@given(d=dims, p=widths, seed=seeds)
+def test_a_zero_spatial_axis_leaves_the_weight_functionals(d, p, seed):
+    # The sample complexity does not depend on the dimension: a spatial axis
+    # that no unit reads (a zero column of W before t, a zero row of A1)
+    # leaves every weight functional bit-identical.
+    weights = init_weights(d, p, seed=seed)
+    wider = PinnWeights(W=np.insert(weights.W, d, 0.0, axis=1),
+                        A1=np.vstack([weights.A1, np.zeros(p)]), a2=weights.a2)
+    assert wider.d == d + 1
+    assert weight_stats(wider) == weight_stats(weights)
 
 
 def colloc_for(seed, d, n_r, n_0):
