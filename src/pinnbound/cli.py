@@ -6,9 +6,10 @@ DEFAULT_CONFIG, a section key by key and any other value by replacing it.
 Every artifact embeds the settings its command reads and the version string,
 and no timestamps, so identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure, 130 interrupted (Ctrl-C).  A closed stdout drops the rest of the
-report and changes neither the work, the artifacts nor the exit code.
+Exit codes: 0 success, 1 usage error or an artifact that cannot be written,
+2 numerical failure, 3 verification failure, 130 interrupted (Ctrl-C).  A
+closed stdout drops the rest of the report and changes neither the work,
+the artifacts nor the exit code.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ def _say(text: str) -> None:
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = {**payload, "config": cfg, "version": __version__}
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -238,13 +238,8 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
-    try:
-        weights, history, _ = train_vortex(s, cfg["sampling"]["n_r"], s.seed,
-                                           w_scale=cfg["sampling"]["w_scale"])
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
+    weights, history, _ = train_vortex(s, cfg["sampling"]["n_r"], s.seed,
+                                       w_scale=cfg["sampling"]["w_scale"])
     save_checkpoint(weights, s.activation, out_dir / "checkpoint.json")
     _write_csv(out_dir / "history.csv",
                ["epoch", "momentum_term", "divergence_term", "initial_term", "total"],
@@ -257,17 +252,21 @@ def cmd_train(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, checkpoint: str) -> int:
+def _checkpoint(cfg: dict, s: SweepConfig, path: str) -> tuple:
+    """The weights and activation of the checkpoint at `path`, which the settings must fit."""
     try:
-        weights, spec = load_checkpoint(checkpoint)
+        weights, spec = load_checkpoint(path)
     except (OSError, ValueError) as exc:
-        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(f"cannot load checkpoint: {exc}")
     if cfg["activation"] != DEFAULT_CONFIG["activation"] and s.activation != spec:
         raise UsageError(f"activation {s.activation.family.value}^{s.activation.k} does not "
                          f"match the checkpoint's {spec.family.value}^{spec.k}")
     if len(s.box) != weights.d + 1:
         raise UsageError(f"the checkpoint needs a sampling.box of d + 1 = {weights.d + 1} axes")
+    return weights, spec
+
+
+def cmd_bound(cfg: dict, s: SweepConfig, out_dir: Path, weights, spec: ActivationSpec) -> int:
     C_z, C_z0 = moment_constants(s.box)
     if cfg["bound"]["cz_convention"] == "literal":   # the second moments, not their roots
         C_z, C_z0 = C_z**2, C_z0**2
@@ -290,7 +289,6 @@ def cmd_verify(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     by_name: dict[str, list] = {}
     for rep in reports:
         by_name.setdefault(rep.name, []).append(rep.to_dict())
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, reps in by_name.items():
         n_pass = sum(r["verdict"] == "PASS" for r in reps)
         _write_json(out_dir / f"verify_{name}.json",
@@ -338,7 +336,6 @@ def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapRepo
 
 
 def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     cached = _cached_rows(cfg, s, out_dir)
 
     def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
@@ -395,21 +392,23 @@ def main(argv=None) -> int:
             cfg = resolve_config(args)
             s = _settings(cfg, args.command, args.preset)
             cfg = _read(cfg, args.command)          # what the command records
+            inputs = _checkpoint(cfg, s, args.checkpoint) if args.command == "bound" else ()
             out_dir = Path(args.out)
-            # the commands create --out; its first existing ancestor must be a directory
-            first = next((path for path in (out_dir, *out_dir.parents) if path.exists()), out_dir)
-            if not first.is_dir():
-                raise UsageError(f"--out {out_dir}: {first} is not a directory")
-            if args.command == "bound":
-                return cmd_bound(cfg, s, out_dir, args.checkpoint)
-            command = {"train": cmd_train, "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
-            return command(cfg, s, out_dir)
+            try:                        # after every usage check: a usage error leaves no --out
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"--out {out_dir}: {exc.strerror}")
+            return {"train": cmd_train, "bound": cmd_bound, "verify": cmd_verify,
+                    "sweep": cmd_sweep}[args.command](cfg, s, out_dir, *inputs)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        except (FloatingPointError, OverflowError) as exc:
+        except (RuntimeError, ArithmeticError) as exc:   # as experiment._row_or_error's
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
+        except OSError as exc:                           # an artifact that cannot be written
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 1
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)
             return 130

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pinnbound import (ActivationSpec, LossConfig, constants,
@@ -192,6 +192,21 @@ def test_bound_constants_override(tmp_path):
     assert doc["sigma_constants"]["L_sigma1"] == 0.8
 
 
+def _is_usage_error_before_any_output(tmp_path, capsys, assignments, command, key=""):
+    """The sweep's fast settings, then `--set` each of `assignments`, end `command` in one usage
+    error that names `key`, before anything is printed or --out is made."""
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    out = tmp_path / "bad"
+    sets = [arg for assignment in assignments for arg in ("--set", assignment)]
+    cmd = [command, str(ck)] if command == "bound" else [command]
+    assert run(SWEEP_FAST + sets + ["--out", str(out)] + cmd) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and key in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("assignment", [
     "bound=3", "bound.cz_convention=bogus", "bound.proof_variant=no",
     'bound.constants_override={"L_sigma":1}',                      # seven constants missing
@@ -200,13 +215,8 @@ def test_bound_constants_override(tmp_path):
                  id="constants_override-a_string"),
 ])
 def test_bad_bound_section_is_usage_error(tmp_path, capsys, assignment):
-    ck = tmp_path / "ck.json"
-    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
-    out = tmp_path / "o"
-    assert run(["--set", assignment, "--out", str(out), "bound", str(ck)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and assignment.split("=")[0] in err
-    assert not out.exists()
+    _is_usage_error_before_any_output(tmp_path, capsys, [assignment], "bound",
+                                      assignment.split("=")[0])
 
 
 def test_bound_rejects_activation_other_than_checkpoints(tmp_path, capsys):
@@ -646,11 +656,7 @@ def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
     ("verify.n_points=25 verify.n_draws=1", "verify"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
-    out = tmp_path / "bad"
-    sets = [arg for a in assignment.split() for arg in ("--set", a)]
-    assert run(SWEEP_FAST + sets + ["--out", str(out), command]) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
-    assert not out.exists() or not any(out.iterdir())
+    _is_usage_error_before_any_output(tmp_path, capsys, assignment.split(), command)
 
 
 @pytest.mark.parametrize("assignment, command", [
@@ -667,11 +673,7 @@ def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment,
 ])
 def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, assignment,
                                                             command):
-    out = tmp_path / "bad"
-    assert run(SWEEP_FAST + ["--set", assignment, "--out", str(out), command]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage error:") and captured.out == ""
-    assert not out.exists()
+    _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command)
 
 
 @pytest.mark.parametrize("assignment, command, key", [
@@ -683,12 +685,7 @@ def test_non_integer_count_is_usage_error_before_any_output(tmp_path, capsys, as
 ])
 def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, assignment,
                                                              command, key):
-    out = tmp_path / "bad"
-    assert run(TINY + ["--set", assignment, "--out", str(out), command]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage error:") and captured.out == ""
-    assert key in captured.err
-    assert not out.exists()
+    _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command, key)
 
 
 @pytest.mark.parametrize("assignment, command", [
@@ -709,15 +706,7 @@ def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, a
 ])
 def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, assignment,
                                                            command):
-    ck = tmp_path / "ck.json"
-    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
-    out = tmp_path / "bad"
-    sets = [arg for a in assignment.split() for arg in ("--set", a)]
-    cmd = [command, str(ck)] if command == "bound" else [command]
-    assert run(SWEEP_FAST + sets + ["--out", str(out)] + cmd) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("usage error:") and captured.out == ""
-    assert not out.exists()
+    _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command)
 
 
 def test_ragged_box_names_the_box_rule(tmp_path, capsys):
@@ -740,6 +729,45 @@ def test_out_that_cannot_be_a_directory_is_usage_error_before_any_work(tmp_path,
     assert captured.err.startswith("usage error: --out") and captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert blocker.read_text() == "kept\n"
+
+
+_LONG = "a" * 300                  # a longer file name than any file system takes
+
+
+@pytest.mark.parametrize("command, out", [
+    ("train", _LONG), ("bound", _LONG), ("verify", _LONG), ("sweep", _LONG),
+    ("train", f"x/{_LONG}/y"),
+], ids=["train", "bound", "verify", "sweep", "train-below_a_long_name"])
+def test_out_that_cannot_be_made_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                 command, out):
+    def ran(*args):
+        raise AssertionError(f"{command} ran")
+
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    monkeypatch.setattr(cli, f"cmd_{command}", ran)
+    monkeypatch.chdir(tmp_path)
+    assert run(["--out", out, command] + [str(ck)] * (command == "bound")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --out") and captured.err.count("\n") == 1
+    assert "File name too long" in captured.err and captured.out == ""
+    # mkdir leaves the parents it made before the long name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"] + ["x"] * ("/" in out)
+
+
+@pytest.mark.parametrize("command, blocked", [("train", "checkpoint.json"),
+                                              ("sweep", "sweep.json")])
+def test_artifact_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, capsys, command,
+                                                                blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert run(SWEEP_FAST + ["--out", str(out), command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and captured.err.count("\n") == 1
+    assert f"Is a directory: '{out / blocked}'" in captured.err
+    # the sweep's rows were done, and the files written before the failure stay
+    assert captured.out.count("\n") == (3 if command == "sweep" else 0)
+    assert len(list(out.iterdir())) == (6 if command == "sweep" else 1)
 
 
 @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"desk"'])
@@ -870,7 +898,7 @@ def test_checkpoint_of_infinite_size_cannot_be_loaded(tmp_path, capsys):
     ck.write_text(ck.read_text().replace('"d": 2', '"d": 1e400'))
     out = tmp_path / "out"
     assert run(["--out", str(out), "bound", str(ck)]) == 1
-    assert capsys.readouterr().err.startswith("cannot load checkpoint:")
+    assert capsys.readouterr().err.startswith("usage error: cannot load checkpoint:")
     assert not out.exists()
 
 
@@ -901,6 +929,8 @@ _VALUES = st.integers(1, 8).map(str) | _JSON.map(json.dumps) | st.text(max_size=
 _TOKENS = st.sampled_from(["--bogus", "-h", "--help", "--preset", "nope", "figure1", "--set",
                            "--config", "train", "bound", "x=1", "--"]) | st.text("abcdeh-=.",
                                                                                 max_size=6)
+
+
 def _tree(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() if p.is_file() else None
             for p in sorted(root.rglob("*"))}
@@ -932,7 +962,7 @@ def test_generated_command_lines_end_in_a_documented_exit_code(config, sets, ext
                 code = main(argv)
         finally:
             os.chdir(cwd)
-        from hypothesis import event; event(f'exit {code} {command}')
+        event(f"exit {code} {command}")
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert _tree(root) == before
