@@ -32,8 +32,8 @@ class ActivationSpec:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"exponent k must be >= 1, got {self.k}")
+        if type(self.k) is not int or self.k < 1:     # not a bool, a float or a string
+            raise ValueError(f"exponent k must be an integer >= 1, got {self.k!r}")
         if self.family is Family.EXP_NEG_RELU_POW and self.k < 3:
             raise ValueError("exp(-x)*relu(x)^k needs k >= 3 to be C^2 at 0")
 

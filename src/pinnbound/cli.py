@@ -28,8 +28,8 @@ from pathlib import Path
 
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, UNIT_BOX, GapReport, SweepConfig, _check_box,
-                         moment_constants, sweep_experiment, sweep_row, train_vortex)
+from .experiment import (FIGURE1_BOX, GapReport, SweepConfig, _check_box, moment_constants,
+                         sweep_experiment, sweep_row, train_vortex)
 from .network import load_checkpoint, save_checkpoint
 from .residual import LossConfig
 from .training import TrainConfig
@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
     "dims": {"p": _RUN.width},
     "loss": asdict(_RUN.loss),
     "training": asdict(_RUN.train),
-    "sampling": {"n_r": 125, "n_0": _RUN.n_0, "box": "unit", "w_scale": None},
+    "sampling": {"n_r": 125, "n_0": _RUN.n_0, "box": list(map(list, _RUN.box)), "w_scale": None},
     "bound": {"cz_convention": "sqrt", "proof_variant": False, "constants_override": None},
     "sweep": {"n_r_values": list(_RUN.n_r_values), "population_factor": _RUN.population_factor},
     "verify": {"n_instances": 20, "n_draws": 4000, "n_points": 8,
@@ -51,11 +51,9 @@ DEFAULT_CONFIG = {
 
 PRESETS = {
     "desk": {},
-    "figure1": {"sampling": {"box": "figure1", "n_r": 1000, "n_0": 2500},
+    "figure1": {"sampling": {"box": list(map(list, FIGURE1_BOX)), "n_r": 1000, "n_0": 2500},
                 "training": {"epochs": 20000}},
 }
-
-_BOXES = {"unit": UNIT_BOX, "figure1": FIGURE1_BOX}
 
 # The settings each command ignores (a section stands for all its keys): it records and builds
 # only the others.  The sweep's rows take N_r from `sweep.n_r_values`, sqrt C_z, the paper's
@@ -136,8 +134,7 @@ _RULES = {
         and all(map(_number, v.values())),
         f"null or a section of exactly {', '.join(_SIGMA_NAMES)}, each a finite number"),
     "sampling.w_scale": (lambda v: v is None or _number(v), "null or a finite number"),
-    "sampling.box": (lambda v: isinstance(v, list) or isinstance(v, str) and v in _BOXES,
-                     f"one of {sorted(_BOXES)} or a list of intervals"),
+    "sampling.box": (lambda v: isinstance(v, list), "a list of [low, high] intervals"),
 }
 
 
@@ -192,11 +189,10 @@ def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig
                          "`pinnbound bound` or `train` only")
     cfg = _deep_update(copy.deepcopy(DEFAULT_CONFIG), _read(cfg, command))
     try:
-        name = cfg["sampling"]["box"]
-        box = _BOXES[name] if isinstance(name, str) else tuple(map(tuple, name))
-        if len(_check_box(box)) != 3 and command in ("train", "sweep"):
+        box = tuple(map(tuple, _check_box(cfg["sampling"]["box"]).tolist()))
+        if len(box) != 3 and command in ("train", "sweep"):
             raise ValueError(f"the vortex needs a sampling.box of three intervals "
-                             f"(x, y, t), got {name!r}")
+                             f"(x, y, t), got {cfg['sampling']['box']!r}")
         override = cfg["bound"]["constants_override"]
         return SweepConfig(
             n_r_values=tuple(cfg["sweep"]["n_r_values"]), n_0=cfg["sampling"]["n_0"],

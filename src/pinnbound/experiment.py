@@ -150,14 +150,13 @@ def measure_gap(cfg: SweepConfig, weights: PinnWeights, train_colloc: Collocatio
     population_points = cfg.population_factor * max(N_r, N_0)
     if population_points < 10 * N_r:
         raise ValueError("population_factor * max(N_r, N_0) must be >= 10 * N_r")
-    box = np.asarray(cfg.box, dtype=float)
-    pop_int = sample_interior(population_points, box, seed)
-    pop_init = sample_initial(population_points, box[:-1], seed + 1)
+    pop_int = sample_interior(population_points, cfg.box, seed)
+    pop_init = sample_initial(population_points, cfg.box[:-1], seed + 1)
     pop_set = CollocationSet(pop_int, pop_init, train_colloc.f0)
     pop_risk = risk_breakdown(weights, cfg.activation, cfg.loss, pop_set).total
 
     sc = cfg.sigma_constants or constants(cfg.activation)
-    C_z, C_z0 = moment_constants(box)
+    C_z, C_z0 = moment_constants(cfg.box)
     report = bounds.generalization_bound(bounds.weight_stats(weights), sc, cfg.loss,
                                          N_r, N_0, C_z, C_z0)
     return GapReport(N_r=N_r, N_0=N_0, train_risk=train_risk,
@@ -202,9 +201,8 @@ def train_vortex(cfg: SweepConfig, n_r: int, seed: int, w_scale: float | None = 
     from `seed`, cfg.n_0 initial points from seed + 1, the weights from
     seed + 2.  Returns (weights, history, colloc) as `train` and its point
     set; raises RuntimeError if training diverges."""
-    box = np.asarray(cfg.box, dtype=float)
-    colloc = CollocationSet(sample_interior(n_r, box, seed),
-                            sample_initial(cfg.n_0, box[:-1], seed + 1),
+    colloc = CollocationSet(sample_interior(n_r, cfg.box, seed),
+                            sample_initial(cfg.n_0, cfg.box[:-1], seed + 1),
                             taylor_green_initial(cfg.loss.nu))
     weights0 = init_weights(d=2, p=cfg.width, seed=seed + 2, w_scale=w_scale)
     weights, history = train(weights0, cfg.activation, cfg.loss, colloc, cfg.train)

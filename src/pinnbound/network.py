@@ -146,14 +146,14 @@ def load_checkpoint(path) -> tuple[PinnWeights, ActivationSpec]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        d, p = int(doc["d"]), int(doc["p"])
-        spec = ActivationSpec.from_name(doc["activation"]["family"],
-                                        int(doc["activation"]["k"]))
+        d, p = doc["d"], doc["p"]
+        spec = ActivationSpec.from_name(doc["activation"]["family"], doc["activation"]["k"])
         weights = PinnWeights(W=np.array(doc["W"], dtype=float),
                               A1=np.array(doc["A1"], dtype=float),
                               a2=np.array(doc["a2"], dtype=float))
+        if weights.W.shape != (p, d + 1):
+            raise ValueError(f"checkpoint shape mismatch: W is {weights.W.shape}, "
+                             f"header says p={p!r}, d={d!r}")
     except (json.JSONDecodeError, KeyError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
-    if weights.W.shape != (p, d + 1):
-        raise ValueError(f"checkpoint shape mismatch: W is {weights.W.shape}, header says p={p}, d={d}")
     return weights, spec

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import select
 import signal
 import subprocess
@@ -367,7 +368,7 @@ def test_preset_figure1_changes_sampling():
     parser = build_parser()
     args = parser.parse_args(["--preset", "figure1", "train"])
     cfg = resolve_config(args)
-    assert cfg["sampling"]["box"] == "figure1"
+    assert cfg["sampling"]["box"] == [[0.0, 2.0], [0.0, 2.0], [0.0, 1.0]]
     assert cfg["sampling"]["n_r"] == 1000
     assert cfg["training"]["epochs"] == 20000
 
@@ -408,7 +409,8 @@ def test_sweep_cache_is_shared_with_and_without_the_preset(tmp_path, capsys):
     # both directions, though the preset's sampling.n_r is not the default's.
     out = tmp_path / "sweep"
     by_preset = SWEEP_FAST + ["--preset", "figure1", "--out", str(out), "sweep"]
-    by_hand = SWEEP_FAST + ["--set", "sampling.box=figure1", "--out", str(out), "sweep"]
+    by_hand = SWEEP_FAST + ["--set", "sampling.box=[[0.0,2.0],[0.0,2.0],[0.0,1.0]]",
+                            "--out", str(out), "sweep"]
     assert run(by_preset) == 0
     before = _files(out)
     for argv in (by_hand, by_preset):
@@ -416,6 +418,20 @@ def test_sweep_cache_is_shared_with_and_without_the_preset(tmp_path, capsys):
         assert run(argv) == 0
         assert capsys.readouterr().out.count(": cached") == 3
         assert _files(out) == before
+
+
+def test_sweep_cache_serves_the_preset_box_written_as_integer_intervals(tmp_path, capsys):
+    # the box compares by value: only sweep.json's record of it is spelled as given
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--preset", "figure1", "--out", str(out), "sweep"]) == 0
+    before = _files(out)
+    capsys.readouterr()
+    assert run(SWEEP_FAST + ["--set", "sampling.box=[[0,2],[0,2],[0,1]]", "--out", str(out),
+                             "sweep"]) == 0
+    assert capsys.readouterr().out.count(": cached") == 3
+    after = _files(out)
+    assert json.loads(after.pop(Path("sweep.json"))) == json.loads(before.pop(Path("sweep.json")))
+    assert after == before
 
 
 # Another valid value for one setting of each entry of `cli._IGNORES`.
@@ -709,6 +725,14 @@ def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, ass
     _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command)
 
 
+@pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
+@pytest.mark.parametrize("name", ["unit", "figure1"])
+def test_box_by_name_is_usage_error_before_any_output(tmp_path, capsys, name, command):
+    # a box is its intervals, in every config and artifact
+    _is_usage_error_before_any_output(tmp_path, capsys, [f"sampling.box={name}"], command,
+                                      "sampling.box")
+
+
 def test_ragged_box_names_the_box_rule(tmp_path, capsys):
     out = tmp_path / "bad"
     assert run(TINY + ["--set", "sampling.box=[[0,1],[0],[0,1]]", "--out", str(out), "train"]) == 1
@@ -902,6 +926,25 @@ def test_checkpoint_of_infinite_size_cannot_be_loaded(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    (("activation", "k"), 3.9), (("activation", "k"), True), (("activation", "k"), "3"),
+    (("d",), 2.5), (("p",), "4"),
+], ids=["k_3.9", "k_true", "k_string", "d_2.5", "p_string"])
+def test_checkpoint_header_of_another_kind_cannot_be_loaded(tmp_path, capsys, key, value):
+    # the checkpoint's counts meet the config's rule: none is truncated or parsed
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 4, seed=0), ActivationSpec.from_name("tanh", 3), ck)
+    doc = json.loads(ck.read_text())
+    (doc["activation"] if len(key) == 2 else doc)[key[-1]] = value
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["--out", str(out), "bound", str(ck)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: cannot load checkpoint:")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--bogus", "train"], 1), (["bound"], 1), (["--preset", "nope", "train"], 1), (["--help"], 0)])
 def test_command_line_usage_error_is_exit_1(tmp_path, monkeypatch, argv, code):
@@ -966,3 +1009,12 @@ def test_generated_command_lines_end_in_a_documented_exit_code(config, sets, ext
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert _tree(root) == before
+
+
+def test_readme_copies_the_ignored_settings_and_the_keys_with_their_own_rule():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| command | ignores |\n| --- | --- |\n")[1].split("\n\n")[0]
+    names = [re.findall(r"`([\w.]+)`", line) for line in table.splitlines()]
+    assert {command: tuple(ignored) for command, *ignored in names} == cli._IGNORES
+    own_rule = " ".join(readme.split()).split("have their own rule:")[1].split(". ")[0]
+    assert set(re.findall(r"`([\w.]+)`", own_rule)) & _SCHEMA.keys() == cli._RULES.keys()
