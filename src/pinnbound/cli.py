@@ -310,7 +310,7 @@ def _row_path(out_dir: Path, s: SweepConfig, idx: int) -> Path:
 
 
 def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
-    """Index -> GapReport of the row files that embed the sweep's settings `cfg` and whose row
+    """Index -> GapReport of the row files that embed the row settings `cfg` and whose row
     rebuilds to itself.  Any other row is computed again, its file rewritten."""
     cached = {}
     for idx in range(len(s.n_r_values)):
@@ -332,7 +332,9 @@ def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapRepo
 
 
 def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
-    cached = _cached_rows(cfg, s, out_dir)
+    # of the N_r values a row reads only its own N_r and index, which its file name holds
+    row_cfg = {**cfg, "sweep": {k: v for k, v in cfg["sweep"].items() if k != "n_r_values"}}
+    cached = _cached_rows(row_cfg, s, out_dir)
 
     def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
         if idx in cached:
@@ -340,7 +342,8 @@ def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
         elif isinstance(row, GapReport):
             _say(f"N_r={s.n_r_values[idx]}: gap={row.gap:.4g} bound={row.bound.total:.4g}")
 
-    report = sweep_experiment(s, functools.partial(_computed_row, cfg, out_dir), cached, progress)
+    report = sweep_experiment(s, functools.partial(_computed_row, row_cfg, out_dir), cached,
+                              progress)
     for fail in report.failed_rows:
         print(f"N_r={fail['N_r']}: training diverged ({fail['error']})", file=sys.stderr)
     doc = report.to_dict()
@@ -399,7 +402,7 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        except (RuntimeError, ArithmeticError) as exc:   # as experiment._row_or_error's
+        except (RuntimeError, ArithmeticError) as exc:   # a sweep worker's too: get() re-raises it
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:                           # an artifact that cannot be written

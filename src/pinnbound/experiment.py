@@ -219,15 +219,6 @@ def sweep_row(cfg: SweepConfig, idx: int) -> GapReport:
     return measure_gap(cfg, weights, colloc, history[-1][1].total, row_seed + 3)
 
 
-def _row_or_error(row, cfg: SweepConfig, idx: int):
-    """row(cfg, idx), or what it raised: a RuntimeError if the row diverged,
-    an ArithmeticError if it failed in a way that ends the sweep."""
-    try:
-        return row(cfg, idx)
-    except (RuntimeError, ArithmeticError) as exc:
-        return exc
-
-
 def _cpus() -> int:
     """The CPUs this process may run on; 1 where the platform cannot tell."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -271,14 +262,15 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
             sys.stderr.flush()
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
                 workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
-            dispatched = {idx: pool.apply_async(_row_or_error, (row, cfg, idx))
+            dispatched = {idx: pool.apply_async(row, (cfg, idx))
                           for idx in sorted(todo, key=lambda idx: -cfg.n_r_values[idx])}
             pool.close()
         for idx in range(len(cfg.n_r_values)):
-            if idx in dispatched:
-                results.append(dispatched[idx].get())
-            else:
-                results.append(cached[idx] if idx in cached else _row_or_error(row, cfg, idx))
+            try:             # get() re-raises a worker's exception, with its type and message
+                results.append(dispatched[idx].get() if idx in dispatched
+                               else cached[idx] if idx in cached else row(cfg, idx))
+            except (RuntimeError, ArithmeticError) as exc:   # it diverged, or it ends the sweep
+                results.append(exc)
             if isinstance(results[idx], ArithmeticError):
                 break
             if progress:

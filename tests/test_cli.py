@@ -434,6 +434,29 @@ def test_sweep_cache_serves_the_preset_box_written_as_integer_intervals(tmp_path
     assert after == before
 
 
+def test_sweep_cache_serves_its_rows_when_n_r_values_are_appended(tmp_path, capsys):
+    # A row reads only its own N_r and index of the N_r values, and its file
+    # name holds both: appending a value computes only the new row, and going
+    # back serves every row, each run leaving the row files as they were.
+    out = tmp_path / "sweep"
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    first = _files(out)
+    rows = {name: blob for name, blob in first.items() if name.name.startswith("row_")}
+    assert len(rows) == 3
+    capsys.readouterr()
+    assert run(SWEEP_FAST + ["--set", "sweep.n_r_values=[5,10,20,40]",
+                             "--out", str(out), "sweep"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["N_r=5: cached", "N_r=10: cached", "N_r=20: cached"]
+    assert lines[3].startswith("N_r=40: gap=") and len(lines) == 5
+    assert {name: blob for name, blob in _files(out).items() if name in rows} == rows
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == lines[:3]
+    last = _files(out)
+    assert {name: blob for name, blob in last.items() if name in rows} == rows
+    assert last[Path("sweep.json")] == first[Path("sweep.json")]
+
+
 # Another valid value for one setting of each entry of `cli._IGNORES`.
 _ANOTHER = {"dims": "dims.p=5", "training": "training.epochs=21", "sampling": "sampling.n_r=9",
             "sampling.n_r": "sampling.n_r=9", "sampling.w_scale": "sampling.w_scale=0.5",
@@ -600,6 +623,24 @@ def test_floating_point_error_in_a_sweep_worker_is_exit_2(tmp_path, monkeypatch,
     assert len(forks) == 2
     err = capsys.readouterr().err
     assert "numerical failure: overflow in a row" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_row_file_that_cannot_be_written_is_one_line_and_leaves_no_worker(
+        tmp_path, monkeypatch, capsys, cpus):
+    # Neither a failed row nor a numerical failure: the OSError of a row,
+    # computed here or in a worker, leaves the row loop, and the pool's exit
+    # ends the workers still running.
+    _on_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    blocked = out / "row_01_nr10.json"
+    blocked.mkdir(parents=True)
+    assert run(SWEEP_FAST + ["--out", str(out), "sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and captured.err.count("\n") == 1
+    assert f"Is a directory: '{blocked}'" in captured.err
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["N_r=5"]
     assert multiprocessing.active_children() == []
 
 
