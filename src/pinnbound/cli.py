@@ -171,9 +171,11 @@ def _check_config(cfg: dict) -> dict:
 
 
 def _read(cfg: dict, command: str) -> dict:
-    """The settings of a checked config that `command` reads."""
+    """The settings of a checked config that `command` reads, each float setting as a float
+    however it was spelled (1 and 1.0 are one config, recorded as 1.0)."""
     ignored = _IGNORES[command]
-    return {key: {sub: v for sub, v in val.items() if f"{key}.{sub}" not in ignored}
+    return {key: {sub: float(v) if type(_SCHEMA[f"{key}.{sub}"]) is float else v
+                  for sub, v in val.items() if f"{key}.{sub}" not in ignored}
             if isinstance(val, dict) else val for key, val in cfg.items() if key not in ignored}
 
 
@@ -407,6 +409,9 @@ def main(argv=None) -> int:
             return 2
         except OSError as exc:                           # an artifact that cannot be written
             print(f"i/o error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:                       # numpy refuses an array this large
+            print(f"out of memory: {exc}", file=sys.stderr)
             return 1
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)

@@ -243,10 +243,9 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     one row to compute, nothing is forked and each row runs here in its
     turn (`taskset -c 0` gives a serial sweep).  Forking is safe: numpy's
     OpenBLAS shuts its thread pool down before a fork, and buffered output
-    is flushed first so no line is written twice.  Workers ignore SIGINT,
-    and Ctrl-C stops them all.  A row's ArithmeticError (FloatingPointError,
-    OverflowError) ends the sweep: it is raised once the rows handed to
-    workers are back.
+    is flushed first so no line is written twice.  Any exception but a row's
+    RuntimeError ends the sweep at once, and is raised once the rows handed
+    to workers are back; only Ctrl-C stops them all (workers ignore SIGINT).
     """
     row = row or sweep_row
     cached = cached or {}
@@ -265,23 +264,17 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
             dispatched = {idx: pool.apply_async(row, (cfg, idx))
                           for idx in sorted(todo, key=lambda idx: -cfg.n_r_values[idx])}
             pool.close()
+            # but on Ctrl-C, let the workers finish and leave before the pool's exit kills them:
+            # one killed while it sends a result keeps the result queue locked, and the exit hangs
+            stack.push(lambda kind, exc, tb: None if kind is KeyboardInterrupt else pool.join())
         for idx in range(len(cfg.n_r_values)):
             try:             # get() re-raises a worker's exception, with its type and message
                 results.append(dispatched[idx].get() if idx in dispatched
                                else cached[idx] if idx in cached else row(cfg, idx))
-            except (RuntimeError, ArithmeticError) as exc:   # it diverged, or it ends the sweep
+            except RuntimeError as exc:   # its training diverged
                 results.append(exc)
-            if isinstance(results[idx], ArithmeticError):
-                break
             if progress:
                 progress(idx, results[idx])
-        if dispatched:
-            # let the workers finish and leave before the pool's exit kills them:
-            # one killed while it sends a result keeps the result queue locked,
-            # and the exit then hangs
-            pool.join()
-    if isinstance(results[-1], ArithmeticError):
-        raise results[-1]
     rows = [res for res in results if isinstance(res, GapReport)]
     failed = [{"N_r": int(cfg.n_r_values[idx]), "index": idx, "error": str(res)}
               for idx, res in enumerate(results) if not isinstance(res, GapReport)]

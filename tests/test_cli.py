@@ -630,8 +630,8 @@ def test_floating_point_error_in_a_sweep_worker_is_exit_2(tmp_path, monkeypatch,
 def test_sweep_row_file_that_cannot_be_written_is_one_line_and_leaves_no_worker(
         tmp_path, monkeypatch, capsys, cpus):
     # Neither a failed row nor a numerical failure: the OSError of a row,
-    # computed here or in a worker, leaves the row loop, and the pool's exit
-    # ends the workers still running.
+    # computed here or in a worker, ends the sweep once the rows handed to
+    # workers are back; only the rows before it are reported.
     _on_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     blocked = out / "row_01_nr10.json"
@@ -833,6 +833,39 @@ def test_artifact_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, capsys
     # the sweep's rows were done, and the files written before the failure stay
     assert captured.out.count("\n") == (3 if command == "sweep" else 0)
     assert len(list(out.iterdir())) == (6 if command == "sweep" else 1)
+
+
+# numpy refuses each of these arrays at once (1.7-2.8 EiB, beyond any 64-bit address space),
+# so nothing is allocated
+@pytest.mark.parametrize("argv, cpus", [
+    (["--set", "sampling.n_r=100000000000000000", "train"], 1),
+    (["--set", "verify.n_points=40", "--set", "verify.n_draws=10000000000000000", "verify"], 1),
+    (SWEEP_FAST + ["--set", "sweep.population_factor=10000000000000000", "sweep"], 1),
+    (SWEEP_FAST + ["--set", "sweep.population_factor=10000000000000000", "sweep"], 2)])
+def test_array_too_large_is_one_line_and_exit_1_sweep_included(tmp_path, monkeypatch, capsys,
+                                                               argv, cpus):
+    _on_cpus(monkeypatch, cpus)
+    assert run(argv[:-1] + ["--out", str(tmp_path / "out"), argv[-1]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["train", "bound", "sweep"])
+def test_integer_spelling_of_a_float_setting_writes_the_same_bytes(tmp_path, capsys, command):
+    # loss.delta and loss.lambda0 default to 1.0: given as 1 they are the same config
+    settings, inputs = (SWEEP_FAST if command == "sweep" else TINY), []
+    if command == "bound":
+        assert run(TINY + ["--out", str(tmp_path / "trained"), "train"]) == 0
+        inputs = [str(tmp_path / "trained" / "checkpoint.json")]
+        capsys.readouterr()
+    made = []
+    for spelling in ([], ["--set", "loss.delta=1", "--set", "loss.lambda0=1"]):
+        out = tmp_path / f"out{len(made)}"
+        assert run(settings + spelling + ["--out", str(out), command, *inputs]) == 0
+        made.append((_files(out), capsys.readouterr().out.replace(str(out), "out")))
+    assert made[0] == made[1]
 
 
 @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"desk"'])

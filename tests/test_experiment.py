@@ -288,6 +288,30 @@ def test_sweep_ends_at_the_first_rows_arithmetic_error_and_leaves_no_worker(monk
     assert multiprocessing.active_children() == []
 
 
+def _row_2_finishing_after_row_1_fails(marker, cfg, idx):
+    """Row 0 diverges and row 1 raises OSError at once; row 2 touches `marker`
+    after 0.5 s, then diverges."""
+    if idx == 2:
+        time.sleep(0.5)
+        open(marker, "x").close()
+        raise RuntimeError("row 2")
+    if idx == 1:
+        raise OSError("row 1 cannot be written")
+    raise RuntimeError("row 0")
+
+
+def test_sweep_ended_by_an_exception_lets_the_rows_handed_out_finish(tmp_path, monkeypatch):
+    # row 2, the largest N_r, is handed out first; row 1's OSError ends the
+    # sweep while row 2 runs, and is raised once row 2 is back
+    marker = tmp_path / "row_2_finished"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(OSError, match="row 1 cannot be written"):
+        sweep_experiment(SweepConfig(n_r_values=(5, 10, 20)),
+                         functools.partial(_row_2_finishing_after_row_1_fails, str(marker)))
+    assert marker.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_row_scores_its_training_set_once(monkeypatch):
     # `train` logs the risk of the final weights on the training set; the row
     # reuses it, so it scores that set once and then only its population sample
