@@ -90,8 +90,8 @@ def weight_stats(weights: PinnWeights) -> WeightStats:
 def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossConfig,
                          N_r: int, N_0: int, C_z: float, C_z0: float,
                          proof_variant: bool = False) -> BoundReport:
-    """The bound with its C1 and C2.  The viscous part of C1 uses L_sigma''
-    as stated in the final bound; proof_variant=True evaluates the
+    """The bound with its C1 and C2, or OverflowError if it is not finite.  The viscous part of
+    C1 uses L_sigma'' as stated in the final bound; proof_variant=True evaluates the
     (L_sigma' + L_sigma) form that appears in the combination step instead."""
     if N_r < 1 or N_0 < 1:
         raise ValueError("N_r and N_0 must be >= 1")
@@ -107,13 +107,16 @@ def generalization_bound(stats: WeightStats, sc: SigmaConstants, loss_cfg: LossC
           + stats.B_f3 * abs(sc.c1)
           + nu * stats.B_f4 * abs(sc.c2)
           + lambda0 * stats.B_f5 * abs(sc.c1))
-    return BoundReport(
+    report = BoundReport(
         C1=C1, C2=C2, C_z=C_z, C_z0=C_z0,
         term_interior=2.0 * loss_cfg.delta * (stats.B_w * C_z * C1 + C2) / math.sqrt(N_r),
         term_initial=(4.0 * loss_cfg.lambda1 * loss_cfg.delta * stats.B_a
                       * (stats.B_w * C_z0 * sc.L_sigma + abs(sc.c0)) / math.sqrt(N_0)),
         N_r=N_r, N_0=N_0, weight_stats=stats, sigma_constants=sc, loss=loss_cfg,
     )
+    if not math.isfinite(report.total):
+        raise OverflowError(f"the bound is not finite: total = {report.total}")
+    return report
 
 
 def sample_planner(eps: float, stats: WeightStats, sc: SigmaConstants,

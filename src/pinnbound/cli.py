@@ -7,9 +7,9 @@ Every artifact embeds the settings its command reads and the version string,
 and no timestamps, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error or an artifact that cannot be written,
-2 numerical failure, 3 verification failure, 130 interrupted (Ctrl-C).  A
-closed stdout drops the rest of the report and changes neither the work,
-the artifacts nor the exit code.
+2 numerical failure, 3 verification failure, 130 interrupted (Ctrl-C or
+SIGTERM).  A closed stdout drops the rest of the report and changes neither
+the work, the artifacts nor the exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -111,7 +112,7 @@ def _count(least: int):
 
 
 def _number(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    return type(v) is float and math.isfinite(v)
 
 
 # The value each kind of default asks for: DEFAULT_CONFIG is the schema.
@@ -155,9 +156,9 @@ _SCHEMA = _leaves(DEFAULT_CONFIG)
 
 
 def _check_config(cfg: dict) -> dict:
-    """`cfg` has exactly the keys of DEFAULT_CONFIG, and every value is of its
-    default's kind or, for the keys in _RULES, as the rule asks.  Returns the
-    dot path -> value of every setting."""
+    """`cfg` has exactly the keys of DEFAULT_CONFIG, and every value is of its default's kind or,
+    for the keys in _RULES, as the rule asks.  Returns the dot path -> value of every setting,
+    with its integers read as floats where its rule accepts that (1 and 1.0 are one setting)."""
     leaves = _leaves(cfg)
     for which, paths in (("unknown", leaves.keys() - _SCHEMA.keys()),
                          ("missing", _SCHEMA.keys() - leaves.keys())):
@@ -165,18 +166,18 @@ def _check_config(cfg: dict) -> dict:
             raise UsageError(f"{which} config keys: {', '.join(sorted(paths))}")
     for path, val in leaves.items():
         ok, wants = _RULES.get(path) or _KINDS[type(_SCHEMA[path])]
-        if not ok(val):
+        real = json.loads(json.dumps(val), parse_int=float)   # an integer past a float is inf
+        leaves[path] = real if ok(real) else val
+        if not ok(leaves[path]):
             raise UsageError(f"{path} must be {wants}, got {val!r}")
     return leaves
 
 
 def _read(cfg: dict, command: str) -> dict:
-    """The settings of a checked config that `command` reads, each float setting as a float
-    however it was spelled (1 and 1.0 are one config, recorded as 1.0)."""
-    ignored = _IGNORES[command]
-    return {key: {sub: float(v) if type(_SCHEMA[f"{key}.{sub}"]) is float else v
-                  for sub, v in val.items() if f"{key}.{sub}" not in ignored}
-            if isinstance(val, dict) else val for key, val in cfg.items() if key not in ignored}
+    """The settings of `cfg` that `command` reads, each as `_check_config` reads it."""
+    ignored, flat = _IGNORES[command], _check_config(cfg)
+    return {key: {sub: flat[f"{key}.{sub}"] for sub in v if f"{key}.{sub}" not in ignored}
+            if isinstance(v, dict) else flat[key] for key, v in cfg.items() if key not in ignored}
 
 
 def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig:
@@ -385,6 +386,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:          # argparse exits 2 on a usage error: here that is 1
         return 0 if exc.code == 0 else 1
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # ends it as Ctrl-C does
     # a diverged run reports itself in its own lines, not in numpy's overflow
     # warnings; entered before any fork, so the sweep's workers inherit it
     with warnings.catch_warnings():
@@ -416,6 +418,8 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)
             return 130
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import signal
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -245,7 +246,7 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     OpenBLAS shuts its thread pool down before a fork, and buffered output
     is flushed first so no line is written twice.  Any exception but a row's
     RuntimeError ends the sweep at once, and is raised once the rows handed
-    to workers are back; only Ctrl-C stops them all (workers ignore SIGINT).
+    to workers are back; only a KeyboardInterrupt stops them all at once.
     """
     row = row or sweep_row
     cached = cached or {}
@@ -255,12 +256,14 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     results = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            def worker_signals():   # Ctrl-C is for this process; the pool's SIGTERM kills
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
             import multiprocessing   # here, so that a serial sweep skips its import
-            import signal
             sys.stdout.flush()
             sys.stderr.flush()
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
-                workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)))
+                workers, initializer=worker_signals))
             dispatched = {idx: pool.apply_async(row, (cfg, idx))
                           for idx in sorted(todo, key=lambda idx: -cfg.n_r_values[idx])}
             pool.close()

@@ -85,10 +85,10 @@ class CheckReport:
                 "exact": self.exact, "n_draws": self.n_draws, "seed": self.seed}
 
 
-def _sign_vectors(n: int, n_draws: int, seed: int, force_sampling: bool = False):
+def _sign_vectors(n: int, n_draws: int, seed: int):
     """(m, n) matrix of sign vectors and a flag: exhaustive (all 2^n rows, in
-    index order) when n <= 20 unless forced to sample, else n_draws seeded samples."""
-    if n <= _ENUM_LIMIT and not force_sampling:
+    index order) when n <= _ENUM_LIMIT, else n_draws seeded samples."""
+    if n <= _ENUM_LIMIT:
         idx = np.arange(2 ** n, dtype=np.uint64)
         bits = (idx[:, None] >> np.arange(n, dtype=np.uint64)) & 1
         return 2.0 * bits.astype(float) - 1.0, True
@@ -122,15 +122,14 @@ def _coupled_check(name: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, exact:
                        exact=exact, n_draws=len(lhs_vals), seed=seed)
 
 
-def rademacher_linear(points, B: float, n_draws: int = 4000, seed: int = 0,
-                      force_sampling: bool = False) -> RademacherEstimate:
+def rademacher_linear(points, B: float, n_draws: int = 4000, seed: int = 0) -> RademacherEstimate:
     """(1/n) E_eps[ sup_{||w|| <= B} sum_i eps_i <w, z_i> ], using the
     closed-form inner supremum B * ||sum_i eps_i z_i||_2."""
     Z = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(Z)
     if n < 1:
         raise ValueError("need at least one point")
-    E, exact = _sign_vectors(n, n_draws, seed, force_sampling)
+    E, exact = _sign_vectors(n, n_draws, seed)
     sups = B * np.linalg.norm(E @ Z, axis=1) / n
     mean, se = _mc_stats(sups, exact)
     return RademacherEstimate(mean=mean, std_error=se, n_draws=len(E), seed=seed, exact=exact)

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import re
 import select
+import shutil
 import signal
 import subprocess
 import sys
@@ -191,6 +192,20 @@ def test_bound_constants_override(tmp_path):
                 "--out", str(out), "bound", str(ck)]) == 0
     doc = json.loads((out / "bound.json").read_text())
     assert doc["sigma_constants"]["L_sigma1"] == 0.8
+
+
+def test_bound_that_overflows_is_a_numerical_failure_without_an_artifact(tmp_path, capsys):
+    # B_sigma * L_sigma1 = 1e400 overflows C1: inf is no number for bound.json to hold
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    override = {"L_sigma": 1e200, "L_sigma1": 1e200, "L_sigma2": 1, "B_sigma": 1e200,
+                "B_sigma1": 1e200, "c0": 0, "c1": 0, "c2": 0}
+    out = tmp_path / "out"
+    assert run(["--set", f"bound.constants_override={json.dumps(override)}",
+                "--out", str(out), "bound", str(ck)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
+    assert captured.out == "" and list(out.iterdir()) == []
 
 
 def _is_usage_error_before_any_output(tmp_path, capsys, assignments, command, key=""):
@@ -659,9 +674,9 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
-    # Ctrl-C sends SIGINT to the whole process group; the sweep's own group
-    # must be empty once the command has exited.
+def _stops_the_sweep_and_its_workers(tmp_path, interrupt):
+    """Start a long sweep with two workers in a session of its own, `interrupt(pid)` it once
+    both are training, and check that it says so, exits 130, and leaves no process behind."""
     long_rows = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
                  "--set", "dims.p=4", "--set", "training.epochs=1000000"]
     proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_SWEEP, *long_rows,
@@ -676,23 +691,33 @@ def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
             assert chunk, f"the sweep ended before it forked: {seen}"
             seen += chunk
         time.sleep(0.5)                     # the workers are training
-        os.killpg(proc.pid, signal.SIGINT)
+        interrupt(proc.pid)
         rest = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 130
+        assert b"Traceback" not in seen + rest and rest.endswith(b"interrupted\n")
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break                       # no process is left in the group
+            assert time.monotonic() < deadline, "a sweep worker outlived the command"
+            time.sleep(0.05)
     finally:
-        if proc.poll() is None:
+        with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        proc.wait()
         proc.stderr.close()
-    assert proc.returncode == 130
-    assert b"Traceback" not in seen + rest and rest.endswith(b"interrupted\n")
-    deadline = time.monotonic() + 10
-    while True:
-        try:
-            os.killpg(proc.pid, 0)
-        except ProcessLookupError:
-            break                           # no process is left in the group
-        assert time.monotonic() < deadline, "a sweep worker outlived the command"
-        time.sleep(0.05)
+
+
+def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
+    # Ctrl-C sends SIGINT to the whole process group
+    _stops_the_sweep_and_its_workers(tmp_path, lambda pid: os.killpg(pid, signal.SIGINT))
+
+
+def test_sigterm_stops_the_sweep_and_its_workers(tmp_path):
+    # `kill` sends SIGTERM to the main process alone: it must stop its workers itself
+    _stops_the_sweep_and_its_workers(tmp_path, lambda pid: os.kill(pid, signal.SIGTERM))
 
 
 @pytest.mark.parametrize("assignment, command", [
@@ -764,6 +789,22 @@ def test_unknown_config_key_is_usage_error_before_any_output(tmp_path, capsys, a
 def test_config_defects_are_usage_errors_before_any_output(tmp_path, capsys, assignment,
                                                            command):
     _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command)
+
+
+_HUGE = "1" + "0" * 400             # an integer too large for a float
+
+
+@pytest.mark.parametrize("assignment, command, key", [
+    (f"loss.nu={_HUGE}", "train", "loss.nu"),
+    (f"sampling.w_scale={_HUGE}", "train", "sampling.w_scale"),
+    (f"sampling.box=[[0,1],[0,{_HUGE}],[0,1]]", "train", "a box must be"),
+    (f'bound.constants_override={{"L_sigma":{_HUGE},"L_sigma1":1,"L_sigma2":1,"B_sigma":1,'
+     f'"B_sigma1":1,"c0":0,"c1":0,"c2":0}}', "bound", "bound.constants_override"),
+], ids=["loss.nu", "sampling.w_scale", "sampling.box", "bound.constants_override"])
+def test_integer_too_large_for_a_float_is_usage_error_before_any_output(tmp_path, capsys,
+                                                                          assignment, command,
+                                                                          key):
+    _is_usage_error_before_any_output(tmp_path, capsys, [assignment], command, key)
 
 
 @pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
@@ -852,20 +893,38 @@ def test_array_too_large_is_one_line_and_exit_1_sweep_included(tmp_path, monkeyp
     assert multiprocessing.active_children() == []
 
 
+_SIGMA_INTEGERS = {"L_sigma": 1, "L_sigma1": 1, "L_sigma2": 2, "B_sigma": 1, "B_sigma1": 1,
+                   "c0": 0, "c1": 1, "c2": 0}
+# Two spellings of one config, and the commands that read the settings they spell.
+_SPELLINGS = [
+    # loss.delta and loss.lambda0 default to 1.0
+    ([], ["loss.delta=1", "loss.lambda0=1"], ("train", "bound", "sweep")),
+    (["sampling.w_scale=1.0"], ["sampling.w_scale=1"], ("train",)),
+    ([], ["sampling.box=[[0,1],[0,1],[0,1]]"], ("train", "bound", "sweep")),
+    ([f"bound.constants_override={json.dumps({k: float(v) for k, v in _SIGMA_INTEGERS.items()})}"],
+     [f"bound.constants_override={json.dumps(_SIGMA_INTEGERS)}"], ("bound", "sweep")),
+]
+
+
 @pytest.mark.parametrize("command", ["train", "bound", "sweep"])
 def test_integer_spelling_of_a_float_setting_writes_the_same_bytes(tmp_path, capsys, command):
-    # loss.delta and loss.lambda0 default to 1.0: given as 1 they are the same config
+    # a real-valued setting reads its integers as floats: 1 and 1.0 are one config
     settings, inputs = (SWEEP_FAST if command == "sweep" else TINY), []
     if command == "bound":
         assert run(TINY + ["--out", str(tmp_path / "trained"), "train"]) == 0
         inputs = [str(tmp_path / "trained" / "checkpoint.json")]
         capsys.readouterr()
-    made = []
-    for spelling in ([], ["--set", "loss.delta=1", "--set", "loss.lambda0=1"]):
-        out = tmp_path / f"out{len(made)}"
-        assert run(settings + spelling + ["--out", str(out), command, *inputs]) == 0
-        made.append((_files(out), capsys.readouterr().out.replace(str(out), "out")))
-    assert made[0] == made[1]
+    for floats, integers, commands in _SPELLINGS:
+        if command not in commands:
+            continue
+        made = []
+        for spelling in (floats, integers):
+            out = tmp_path / f"out{len(made)}"
+            sets = [arg for assignment in spelling for arg in ("--set", assignment)]
+            assert run(settings + sets + ["--out", str(out), command, *inputs]) == 0
+            made.append((_files(out), capsys.readouterr().out.replace(str(out), "out")))
+            shutil.rmtree(out)
+        assert made[0] == made[1], integers
 
 
 @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"desk"'])

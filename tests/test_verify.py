@@ -10,6 +10,7 @@ from pinnbound import (ActivationSpec, CheckReport, ConstraintGrid, LossConfig,
                        check_abs_removal, check_contraction_product,
                        check_contraction_single, check_symmetrization,
                        field_eval, init_weights, rademacher_linear)
+from pinnbound import verify
 from pinnbound.experiment import taylor_green_initial
 from pinnbound.residual import CollocationSet, empirical_risk, loss_init, loss_res
 from pinnbound.verify import _mc_stats, suite
@@ -47,10 +48,11 @@ def test_rademacher_below_dimension_free_bound(rng):
         assert est.mean <= cap + 1e-12
 
 
-def test_rademacher_sampling_tracks_enumeration():
+def test_rademacher_sampling_tracks_enumeration(monkeypatch):
     Z = np.random.default_rng(2).uniform(0, 1, (10, 3))
     exact = rademacher_linear(Z, B=1.0)
-    approx = rademacher_linear(Z, B=1.0, force_sampling=True, n_draws=20000, seed=5)
+    monkeypatch.setattr(verify, "_ENUM_LIMIT", 0)          # sample even these 10 points
+    approx = rademacher_linear(Z, B=1.0, n_draws=20000, seed=5)
     assert not approx.exact and approx.std_error > 0
     assert abs(approx.mean - exact.mean) < 4.0 * approx.std_error
 
