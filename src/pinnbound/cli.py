@@ -173,31 +173,29 @@ def _check_config(cfg: dict) -> dict:
     return leaves
 
 
-def _read(cfg: dict, command: str) -> dict:
-    """The settings of `cfg` that `command` reads, each as `_check_config` reads it."""
+def _settings(cfg: dict, command: str, preset: str | None = None) -> tuple[dict, SweepConfig]:
+    """One schema check of the whole config, read two ways: the settings `command` records (those
+    it reads, each as `_check_config` reads it) and the typed ones, where those it ignores keep
+    their defaults.  The sweep refuses its single ignored keys that differ from the preset's.
+    Range errors are usage errors.  `train` and `sweep` solve the 2-d vortex."""
     ignored, flat = _IGNORES[command], _check_config(cfg)
-    return {key: {sub: flat[f"{key}.{sub}"] for sub in v if f"{key}.{sub}" not in ignored}
-            if isinstance(v, dict) else flat[key] for key, v in cfg.items() if key not in ignored}
-
-
-def _settings(cfg: dict, command: str, preset: str | None = None) -> SweepConfig:
-    """The typed settings `command` reads, after the schema check of the whole config; those it
-    ignores keep their defaults, and the sweep refuses its single ignored keys that differ from
-    the preset's.  Range errors are usage errors.  `train` and `sweep` solve the 2-d vortex."""
-    given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
-    changed = [path for path, val in _check_config(cfg).items()
-               if path in _IGNORES["sweep"] and val != given[path]]
-    if command == "sweep" and changed:
-        raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
-                         "`pinnbound bound` or `train` only")
-    cfg = _deep_update(copy.deepcopy(DEFAULT_CONFIG), _read(cfg, command))
+    if command == "sweep":
+        given = {**_SCHEMA, **_leaves(PRESETS.get(preset, {}))}
+        changed = [path for path, val in flat.items() if path in ignored and val != given[path]]
+        if changed:
+            raise UsageError(f"the sweep ignores {', '.join(changed)}: they apply to "
+                             "`pinnbound bound` or `train` only")
+    recorded = {key: {sub: flat[f"{key}.{sub}"] for sub in v if f"{key}.{sub}" not in ignored}
+                if isinstance(v, dict) else flat[key]
+                for key, v in cfg.items() if key not in ignored}
+    cfg = _deep_update(copy.deepcopy(DEFAULT_CONFIG), recorded)
     try:
         box = tuple(map(tuple, _check_box(cfg["sampling"]["box"]).tolist()))
         if len(box) != 3 and command in ("train", "sweep"):
             raise ValueError(f"the vortex needs a sampling.box of three intervals "
                              f"(x, y, t), got {cfg['sampling']['box']!r}")
         override = cfg["bound"]["constants_override"]
-        return SweepConfig(
+        return recorded, SweepConfig(
             n_r_values=tuple(cfg["sweep"]["n_r_values"]), n_0=cfg["sampling"]["n_0"],
             width=cfg["dims"]["p"], box=box, seed=cfg["seed"],
             activation=ActivationSpec.from_name(cfg["activation"]["family"],
@@ -392,9 +390,7 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            cfg = resolve_config(args)
-            s = _settings(cfg, args.command, args.preset)
-            cfg = _read(cfg, args.command)          # what the command records
+            cfg, s = _settings(resolve_config(args), args.command, args.preset)
             inputs = _checkpoint(cfg, s, args.checkpoint) if args.command == "bound" else ()
             out_dir = Path(args.out)
             try:                        # after every usage check: a usage error leaves no --out

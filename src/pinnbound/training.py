@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("epochs and log_every must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.eps_adam < 0 or self.weight_decay < 0:   # AdamW's denominator and decay
+            raise ValueError("eps_adam and weight_decay must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
 

@@ -309,7 +309,7 @@ def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "measure_gap",
                         lambda cfg, weights, *args: trained.append(weights))
     cfg = resolve_config(build_parser().parse_args(SWEEP_FAST + ["--set", "seed=4", "sweep"]))
-    experiment.sweep_row(_settings(cfg, "sweep"), 1)
+    experiment.sweep_row(_settings(cfg, "sweep")[1], 1)
     row_seed = int(np.random.default_rng((4, 1)).integers(2**31))
     out = tmp_path / "train"
     assert run(SWEEP_FAST + ["--set", "sampling.n_r=10", "--set", f"seed={row_seed}",
@@ -436,7 +436,7 @@ def test_sweep_cache_is_shared_with_and_without_the_preset(tmp_path, capsys):
 
 
 def test_sweep_cache_serves_the_preset_box_written_as_integer_intervals(tmp_path, capsys):
-    # the box compares by value: only sweep.json's record of it is spelled as given
+    # the box compares by value, and every record spells it as floats: no byte changes
     out = tmp_path / "sweep"
     assert run(SWEEP_FAST + ["--preset", "figure1", "--out", str(out), "sweep"]) == 0
     before = _files(out)
@@ -444,9 +444,7 @@ def test_sweep_cache_serves_the_preset_box_written_as_integer_intervals(tmp_path
     assert run(SWEEP_FAST + ["--set", "sampling.box=[[0,2],[0,2],[0,1]]", "--out", str(out),
                              "sweep"]) == 0
     assert capsys.readouterr().out.count(": cached") == 3
-    after = _files(out)
-    assert json.loads(after.pop(Path("sweep.json"))) == json.loads(before.pop(Path("sweep.json")))
-    assert after == before
+    assert _files(out) == before
 
 
 def test_sweep_cache_serves_its_rows_when_n_r_values_are_appended(tmp_path, capsys):
@@ -736,6 +734,8 @@ def test_sigterm_stops_the_sweep_and_its_workers(tmp_path):
     ("activation.k=2.5", "train"),
     ("verify.sym_trials=1", "verify"),                   # one draw has no standard error
     ("verify.n_points=25 verify.n_draws=1", "verify"),
+    ("training.eps_adam=-1e-3", "train"),               # AdamW takes neither negative
+    ("training.weight_decay=-5", "train"),
 ])
 def test_bad_config_is_usage_error_before_training(tmp_path, capsys, assignment, command):
     _is_usage_error_before_any_output(tmp_path, capsys, assignment.split(), command)
@@ -941,8 +941,8 @@ def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc)
 @pytest.mark.parametrize("command", ["train", "bound", "verify", "sweep"])
 def test_default_config_gives_the_library_defaults(command):
     # DEFAULT_CONFIG reads its run defaults from SweepConfig; _settings maps
-    # box "unit" and a null constants_override back to the library's
-    assert _settings(copy.deepcopy(DEFAULT_CONFIG), command) == SweepConfig()
+    # a null constants_override back to the library's
+    assert _settings(copy.deepcopy(DEFAULT_CONFIG), command)[1] == SweepConfig()
 
 
 @pytest.mark.parametrize("preset", [None] + sorted(PRESETS))
@@ -959,6 +959,21 @@ def test_default_config_and_presets_pass_the_schema(preset):
     cfg["sampling"]["n_r"] = 7
     with pytest.raises(UsageError, match="sampling.n_r"):
         _settings(cfg, "sweep", preset)
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("train", []), ("bound", []), ("verify", []), ("sweep", []),
+    ("train", ["--set", "training.learning_rate=-1"]),   # a usage error after the schema check
+], ids=["train", "bound", "verify", "sweep", "usage_error"])
+def test_each_command_checks_the_config_once(tmp_path, monkeypatch, command, sets):
+    calls = []
+    check = cli._check_config
+    monkeypatch.setattr(cli, "_check_config", lambda cfg: calls.append(cfg) or check(cfg))
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 3, seed=0), ActivationSpec.from_name("tanh", 3), ck)
+    code = run(SWEEP_FAST + VERIFY_FAST + sets + ["--out", str(tmp_path / "out"), command]
+               + [str(ck)] * (command == "bound"))
+    assert code == (1 if sets else 0) and len(calls) == 1
 
 
 _NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)

@@ -168,6 +168,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
+    with pytest.raises(ValueError):
+        TrainConfig(eps_adam=-1e-3)
+    with pytest.raises(ValueError):
+        TrainConfig(weight_decay=-5.0)
+    TrainConfig(eps_adam=0.0, weight_decay=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
