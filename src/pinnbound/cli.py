@@ -6,10 +6,10 @@ DEFAULT_CONFIG, a section key by key and any other value by replacing it.
 Every artifact embeds the settings its command reads and the version string,
 and no timestamps, so identical configs produce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage error or an artifact that cannot be written,
-2 numerical failure, 3 verification failure, 130 interrupted (Ctrl-C or
-SIGTERM).  A closed stdout drops the rest of the report and changes neither
-the work, the artifacts nor the exit code.
+Exit codes: 0 success, 1 usage error, an artifact that cannot be written or
+a lost sweep worker, 2 numerical failure, 3 verification failure, 130
+interrupted (Ctrl-C or SIGTERM).  A closed stdout drops the rest of the
+report and changes neither the work, the artifacts nor the exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import functools
 import json
 import math
 import os
@@ -29,8 +28,8 @@ from pathlib import Path
 
 from . import __version__, bounds, verify
 from .activations import ActivationSpec, SigmaConstants, constants
-from .experiment import (FIGURE1_BOX, GapReport, SweepConfig, _check_box, moment_constants,
-                         sweep_experiment, sweep_row, train_vortex)
+from .experiment import (FIGURE1_BOX, GapReport, SweepConfig, WorkerLost, _check_box,
+                         moment_constants, sweep_experiment, sweep_row, train_vortex)
 from .network import load_checkpoint, save_checkpoint
 from .residual import LossConfig
 from .training import TrainConfig
@@ -325,17 +324,15 @@ def _cached_rows(cfg: dict, s: SweepConfig, out_dir: Path) -> dict:
     return cached
 
 
-def _computed_row(cfg: dict, out_dir: Path, s: SweepConfig, idx: int) -> GapReport:
-    """`sweep_row`, written to its row file (in a sweep worker)."""
-    report = sweep_row(s, idx)
-    _write_json(_row_path(out_dir, s, idx), {"row": report.to_dict()}, cfg)
-    return report
-
-
 def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
     # of the N_r values a row reads only its own N_r and index, which its file name holds
     row_cfg = {**cfg, "sweep": {k: v for k, v in cfg["sweep"].items() if k != "n_r_values"}}
     cached = _cached_rows(row_cfg, s, out_dir)
+
+    def computed_row(s: SweepConfig, idx: int) -> GapReport:   # in a sweep worker, or here
+        report = sweep_row(s, idx)
+        _write_json(_row_path(out_dir, s, idx), {"row": report.to_dict()}, row_cfg)
+        return report
 
     def progress(idx: int, row) -> None:   # a diverged row is reported after the sweep
         if idx in cached:
@@ -343,8 +340,7 @@ def cmd_sweep(cfg: dict, s: SweepConfig, out_dir: Path) -> int:
         elif isinstance(row, GapReport):
             _say(f"N_r={s.n_r_values[idx]}: gap={row.gap:.4g} bound={row.bound.total:.4g}")
 
-    report = sweep_experiment(s, functools.partial(_computed_row, row_cfg, out_dir), cached,
-                              progress)
+    report = sweep_experiment(s, computed_row, cached, progress)
     for fail in report.failed_rows:
         print(f"N_r={fail['N_r']}: training diverged ({fail['error']})", file=sys.stderr)
     doc = report.to_dict()
@@ -402,7 +398,7 @@ def main(argv=None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 1
-        except (RuntimeError, ArithmeticError) as exc:   # a sweep worker's too: get() re-raises it
+        except (RuntimeError, ArithmeticError) as exc:   # a sweep worker's too, sent back
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 2
         except OSError as exc:                           # an artifact that cannot be written
@@ -410,6 +406,9 @@ def main(argv=None) -> int:
             return 1
         except MemoryError as exc:                       # numpy refuses an array this large
             print(f"out of memory: {exc}", file=sys.stderr)
+            return 1
+        except WorkerLost as exc:                        # killed from outside: OOM, kill -9
+            print(f"lost sweep worker: {exc}", file=sys.stderr)
             return 1
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)

@@ -225,6 +225,26 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+class WorkerLost(Exception):
+    """A sweep worker ended without sending its row back: killed from outside, say."""
+
+
+def _serve(row, cfg: SweepConfig, idx: int, conn, others) -> None:
+    """A sweep worker: sends back `row(cfg, idx)`, or its exception, for idx and each idx sent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # Ctrl-C is for the main process,
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)   # and its SIGTERM kills
+    for other in others:       # the main process's pipe ends: once it closes ours, EOF ends us
+        other.close()
+    with contextlib.suppress(EOFError, ConnectionError):   # the main process closed our pipe
+        while idx is not None:
+            try:
+                result = row(cfg, idx)
+            except Exception as exc:     # the main process records or raises it
+                result = exc
+            conn.send(result)
+            idx = conn.recv()
+
+
 def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> CorrelationReport:
     """Train one net per N_r, measure its gap, evaluate its bound, and
     correlate bound against gap across the rows.
@@ -236,50 +256,71 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     its training diverged, its RuntimeError.  Diverged rows are recorded in
     failed_rows and excluded from the correlation.
 
-    Rows share nothing (their seeds come from (cfg.seed, idx)), so the ones
-    to compute are dispatched, largest N_r first, to forked workers, one per
-    CPU in this process's affinity and no more than there are such rows;
-    `row` must then be picklable, e.g. a functools.partial of a module
-    function.  The rows are then awaited in index order.  With one CPU or
-    one row to compute, nothing is forked and each row runs here in its
-    turn (`taskset -c 0` gives a serial sweep).  Forking is safe: numpy's
-    OpenBLAS shuts its thread pool down before a fork, and buffered output
-    is flushed first so no line is written twice.  Any exception but a row's
-    RuntimeError ends the sweep at once, and is raised once the rows handed
-    to workers are back; only a KeyboardInterrupt stops them all at once.
+    Rows share nothing (their seeds come from (cfg.seed, idx)), so those to
+    compute go, largest N_r first, to forked workers on pipes of their own,
+    one per CPU in this process's affinity and at most one per row: `row`
+    need not be picklable, its results and exceptions must be.  With one CPU
+    or one row to compute, each row runs here in its turn.  Any exception but
+    a row's RuntimeError stops handing out rows and is raised once the rows
+    handed out are back; a KeyboardInterrupt or WorkerLost kills them at once.
     """
     row = row or sweep_row
-    cached = cached or {}
-    todo = [idx for idx in range(len(cfg.n_r_values)) if idx not in cached]
-    workers = min(len(todo), _cpus())
-    dispatched = {}
-    results = []
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            def worker_signals():   # Ctrl-C is for this process; the pool's SIGTERM kills
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            import multiprocessing   # here, so that a serial sweep skips its import
-            sys.stdout.flush()
+    results = dict(cached or {})
+    todo = sorted((idx for idx in range(len(cfg.n_r_values)) if idx not in results),
+                  key=lambda idx: cfg.n_r_values[idx])      # pop() takes the largest N_r
+    workers, running = {}, {}     # a worker's pipe end -> its process; -> the row it computes
+
+    def receive() -> None:
+        conn = multiprocessing.connection.wait(list(running))[0]
+        idx = running.pop(conn)
+        try:
+            results[idx] = conn.recv()
+        except (EOFError, ConnectionResetError):
+            workers[conn].join()
+            raise WorkerLost(f"N_r={cfg.n_r_values[idx]}, exit code {workers[conn].exitcode}")
+        if todo:                          # the next row, or None: the worker leaves
+            running[conn] = todo.pop()
+        with contextlib.suppress(BrokenPipeError):   # a dead worker's pipe then reads EOF
+            conn.send(running.get(conn))
+
+    try:
+        if (n := min(len(todo), _cpus())) > 1:
+            import multiprocessing.connection   # here, so that a serial sweep skips its import
+            ctx = multiprocessing.get_context("fork")
+            sys.stdout.flush()            # so that no buffered line is written twice
             sys.stderr.flush()
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(
-                workers, initializer=worker_signals))
-            dispatched = {idx: pool.apply_async(row, (cfg, idx))
-                          for idx in sorted(todo, key=lambda idx: -cfg.n_r_values[idx])}
-            pool.close()
-            # but on Ctrl-C, let the workers finish and leave before the pool's exit kills them:
-            # one killed while it sends a result keeps the result queue locked, and the exit hangs
-            stack.push(lambda kind, exc, tb: None if kind is KeyboardInterrupt else pool.join())
+            for _ in range(n):
+                here, there = ctx.Pipe()
+                idx = todo.pop()
+                proc = ctx.Process(target=_serve, args=(row, cfg, idx, there, [*workers, here]))
+                proc.start()
+                workers[here], running[here] = proc, idx
+                there.close()             # so that the worker's exit reads EOF here
         for idx in range(len(cfg.n_r_values)):
-            try:             # get() re-raises a worker's exception, with its type and message
-                results.append(dispatched[idx].get() if idx in dispatched
-                               else cached[idx] if idx in cached else row(cfg, idx))
-            except RuntimeError as exc:   # its training diverged
-                results.append(exc)
+            while running and idx not in results:
+                receive()
+            if idx not in results:        # no worker: the row is computed here
+                try:
+                    results[idx] = row(cfg, idx)
+                except RuntimeError as exc:   # its training diverged
+                    results[idx] = exc
+            if isinstance(results[idx], Exception) and not isinstance(results[idx], RuntimeError):
+                raise results[idx]
             if progress:
                 progress(idx, results[idx])
-    rows = [res for res in results if isinstance(res, GapReport)]
+    except Exception as exc:      # the rows handed out finish first, unless a worker is lost
+        todo.clear()
+        while running and not isinstance(exc, WorkerLost):
+            receive()
+        raise
+    finally:
+        for conn, proc in workers.items():
+            if conn in running:           # an interrupt or a lost worker: kill the rest
+                proc.kill()
+            conn.close()                  # a worker waiting for a row reads EOF and leaves
+            proc.join()
+    rows = [res for _, res in sorted(results.items()) if isinstance(res, GapReport)]
     failed = [{"N_r": int(cfg.n_r_values[idx]), "index": idx, "error": str(res)}
-              for idx, res in enumerate(results) if not isinstance(res, GapReport)]
+              for idx, res in sorted(results.items()) if not isinstance(res, GapReport)]
     r = pearson([rep.bound.total for rep in rows], [rep.gap for rep in rows])
     return CorrelationReport(rows=rows, pearson_r=r, failed_rows=failed)

@@ -582,13 +582,13 @@ def _files(out: Path) -> dict:
 
 def test_sweep_artifacts_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
     made = {}
-    for n in (1, 2):
+    for n in (1, 2, 3):               # three workers on two cores, too
         forks = _on_cpus(monkeypatch, n)
         assert run(SWEEP_FAST + ["--out", str(tmp_path / str(n)), "sweep"]) == 0
-        assert len(forks) == (0 if n == 1 else 2)
+        assert len(forks) == (0 if n == 1 else n)
         assert multiprocessing.active_children() == []
         made[n] = _files(tmp_path / str(n)), capsys.readouterr()
-    assert made[1] == made[2]
+    assert made[1] == made[2] == made[3]
     assert [line.split(":")[0] for line in made[2][1].out.splitlines()[:3]] == [
         "N_r=5", "N_r=10", "N_r=20"]
     assert len(made[2][0]) == 6      # three row files, sweep.json, sweep.csv, bound_vs_gap.dat
@@ -663,7 +663,7 @@ real_fork = os.fork
 def fork():
     pid = real_fork()
     if pid:
-        os.write(2, b"forked\\n")
+        os.write(2, b"forked %d\\n" % pid)
     return pid
 os.fork = fork
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -672,9 +672,11 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _stops_the_sweep_and_its_workers(tmp_path, interrupt):
-    """Start a long sweep with two workers in a session of its own, `interrupt(pid)` it once
-    both are training, and check that it says so, exits 130, and leaves no process behind."""
+@contextlib.contextmanager
+def _long_sweep(tmp_path):
+    """A sweep whose rows train for hours, with two workers, in a session of its own: yields
+    the process, its workers' pids in fork order and its stderr so far once both are training,
+    and then checks that no process is left in its group."""
     long_rows = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
                  "--set", "dims.p=4", "--set", "training.epochs=1000000"]
     proc = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_SWEEP, *long_rows,
@@ -683,16 +685,13 @@ def _stops_the_sweep_and_its_workers(tmp_path, interrupt):
     try:
         # both workers started: one line per fork, each within 30 s
         seen = b""
-        while seen.count(b"forked\n") < 2:
+        while seen.count(b"forked ") < 2:
             assert select.select([proc.stderr], [], [], 30)[0], f"no worker was forked: {seen}"
             chunk = os.read(proc.stderr.fileno(), 4096)
             assert chunk, f"the sweep ended before it forked: {seen}"
             seen += chunk
         time.sleep(0.5)                     # the workers are training
-        interrupt(proc.pid)
-        rest = proc.communicate(timeout=60)[1]
-        assert proc.returncode == 130
-        assert b"Traceback" not in seen + rest and rest.endswith(b"interrupted\n")
+        yield proc, [int(line.split()[1]) for line in seen.splitlines()], seen
         deadline = time.monotonic() + 10
         while True:
             try:
@@ -706,6 +705,28 @@ def _stops_the_sweep_and_its_workers(tmp_path, interrupt):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         proc.stderr.close()
+
+
+def _stops_the_sweep_and_its_workers(tmp_path, interrupt):
+    """Start a long sweep, `interrupt(pid)` it once both workers are training, and check that
+    it says so, exits 130, and leaves no process behind."""
+    with _long_sweep(tmp_path) as (proc, workers, seen):
+        interrupt(proc.pid)
+        rest = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 130
+        assert b"Traceback" not in seen + rest and rest.endswith(b"interrupted\n")
+
+
+def test_sweep_worker_killed_from_outside_ends_the_sweep_and_its_workers(tmp_path):
+    # `kill -9` of a worker, or the kernel's OOM killer: the first worker forked computes the
+    # largest N_r.  The sweep names the row it lost and the worker's exit code, exits 1, and
+    # kills the other worker, instead of waiting forever for the lost row
+    with _long_sweep(tmp_path) as (proc, workers, seen):
+        os.kill(workers[0], signal.SIGKILL)
+        rest = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 1
+        assert b"Traceback" not in seen + rest
+        assert rest == b"lost sweep worker: N_r=20, exit code -9\n"
 
 
 def test_ctrl_c_stops_the_sweep_and_its_workers(tmp_path):
