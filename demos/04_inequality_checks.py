@@ -31,10 +31,11 @@ def show(rep):
 show(check_rademacher_linear(Z, B=2.0))
 show(check_abs_removal(grid, Z, np.tanh, c=0.0))
 
-mats = [grid.vectors[rng.integers(0, len(grid.vectors), 3)] for _ in range(6)]
+# six 3-row layers W_j, each given by the indices of its rows in the grid
+rows = [rng.integers(0, len(grid.vectors), 3) for _ in range(6)]
 heads = [rng.uniform(-0.5, 0.5, 3) for _ in range(6)]
 show(check_contraction_single(grid, Z, lambda x: 1 - np.tanh(x) ** 2,
-                              L_phi=0.77, c=1.0, weight_mats=mats, heads=heads))
+                              L_phi=0.77, c=1.0, rows=rows, heads=heads))
 
 show(check_contraction_product(grid, Z, np.tanh, np.tanh, B=1.0,
                                B_phi1=1.0, B_phi2=1.0, L_phi1=1.0, L_phi2=1.0,

@@ -158,7 +158,8 @@ def exact_constants(spec: ActivationSpec) -> SigmaConstants:
     of the next polynomial (exp(-x)relu(x)^k tends to 0 at infinity).
     The real parts of all roots inside the range are candidates: each
     lies in the domain, so none needs a tolerance, and a double root
-    returned as a complex pair is still covered.
+    returned as a complex pair is still covered.  Raises OverflowError
+    where a sup is not finite (exp(-x)relu(x)^k from k = 140 on).
     """
     polys = _stack_coefficients(spec.family, spec.k)
     lo, hi = _RANGE[spec.family]
@@ -168,6 +169,8 @@ def exact_constants(spec: ActivationSpec) -> SigmaConstants:
         s = np.append(roots[(roots >= lo) & (roots <= hi)], (lo, hi) if hi < math.inf else lo)
         e = np.exp(-s) if spec.family is Family.EXP_NEG_RELU_POW else 1.0
         sups.append(float(np.max(np.abs(e * np.polyval(q, s)))))
+    if not all(map(math.isfinite, sups)):
+        raise OverflowError(f"the constants of {spec.family.value}^{spec.k} are not finite")
     B0, B1, B2, B3 = sups
     z0, z1, z2, _ = eval_derivs(spec, 0.0)
     return SigmaConstants(L_sigma=B1, L_sigma1=B2, L_sigma2=B3, B_sigma=B0,

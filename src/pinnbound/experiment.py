@@ -17,7 +17,7 @@ import math
 import os
 import signal
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -265,6 +265,9 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     handed out are back; a KeyboardInterrupt or WorkerLost kills them at once.
     """
     row = row or sweep_row
+    # the rows' activation constants, once and before any row: constants that are not finite
+    # raise their OverflowError here, not after every row has trained
+    cfg = replace(cfg, sigma_constants=cfg.sigma_constants or constants(cfg.activation))
     results = dict(cached or {})
     todo = sorted((idx for idx in range(len(cfg.n_r_values)) if idx not in results),
                   key=lambda idx: cfg.n_r_values[idx])      # pop() takes the largest N_r

@@ -7,14 +7,15 @@ finite grids.  The inequalities hold a fortiori on subsets, so PASS on a
 grid is sound evidence while FAIL would falsify the inequality outright.
 
 Sign vectors are enumerated exhaustively for small n (deterministic,
-seed-independent) and sampled otherwise; Monte-Carlo comparisons get
-three-sigma slack, exact comparisons a 1e-9 epsilon.
+seed-independent) and sampled otherwise.  `CheckReport.passed` is the one
+PASS rule: lhs <= rhs plus three standard errors when the signs were
+sampled, plus a 1e-9 epsilon when they were enumerated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,20 +70,21 @@ class CheckReport:
     lhs: float
     rhs: float
     std_error: float
-    passed: bool
     exact: bool
     n_draws: int
     seed: int
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs + (_EXACT_EPS if self.exact else 3.0 * self.std_error)
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "std_error": self.std_error,
-                "verdict": "PASS" if self.passed else "FAIL",
-                "exact": self.exact, "n_draws": self.n_draws, "seed": self.seed}
+        return {**asdict(self), "margin": self.margin,
+                "verdict": "PASS" if self.passed else "FAIL"}
 
 
 def _sign_vectors(n: int, n_draws: int, seed: int):
@@ -105,21 +107,23 @@ def _mc_stats(values: np.ndarray, exact: bool) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _slack(exact: bool, std_error: float) -> float:
-    return _EXACT_EPS if exact else 3.0 * std_error
-
-
 def _coupled_check(name: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, exact: bool,
                    seed: int) -> CheckReport:
     """Compare E lhs with E rhs through their coupled difference: lhs is the
     mean of `lhs_vals`, rhs is lhs plus the mean of rhs_vals - lhs_vals, and
-    the standard error is the difference's.  PASS iff lhs <= rhs + _slack."""
+    the standard error is the difference's, which `CheckReport.passed` reads."""
     lhs, _ = _mc_stats(lhs_vals, exact)
     diff, se = _mc_stats(rhs_vals - lhs_vals, exact)
-    rhs = lhs + diff
-    return CheckReport(name=name, lhs=lhs, rhs=rhs, std_error=se,
-                       passed=lhs <= rhs + _slack(exact, se),
-                       exact=exact, n_draws=len(lhs_vals), seed=seed)
+    return CheckReport(name=name, lhs=lhs, rhs=lhs + diff, std_error=se, exact=exact,
+                       n_draws=len(lhs_vals), seed=seed)
+
+
+def _grid_draws(grid: ConstraintGrid, points, n_draws: int, seed: int):
+    """What the grid checks share: the number n of points, the pre-activations
+    <w, z_i> of every grid vector at every point, (M, n), and the sign
+    vectors with their exactness flag, as `_sign_vectors` draws them."""
+    Z = np.atleast_2d(np.asarray(points, dtype=float))
+    return (len(Z), grid.vectors @ Z.T, *_sign_vectors(len(Z), n_draws, seed))
 
 
 def rademacher_linear(points, B: float, n_draws: int = 4000, seed: int = 0) -> RademacherEstimate:
@@ -143,48 +147,36 @@ def check_rademacher_linear(points, B: float, n_draws: int = 4000,
     est = rademacher_linear(Z, B=B, n_draws=n_draws, seed=seed)
     rhs = float(B * np.sqrt(np.sum(Z * Z)) / len(Z))
     return CheckReport(name="rademacher_linear_bound", lhs=est.mean, rhs=rhs,
-                       std_error=est.std_error,
-                       passed=est.mean <= rhs + _slack(est.exact, est.std_error),
-                       exact=est.exact, n_draws=est.n_draws, seed=seed)
+                       std_error=est.std_error, exact=est.exact, n_draws=est.n_draws, seed=seed)
 
 
 def check_abs_removal(grid: ConstraintGrid, points, phi, c: float,
                       n_draws: int = 4000, seed: int = 0) -> CheckReport:
     """E sup_w |<eps, f_w(Z)>|  <=  2 E sup_w <eps, f_w(Z) - c> + |c| sqrt(n),
     with f_w(z) = phi(<w, z>) and the supremum over the grid."""
-    Z = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(Z)
-    F = phi(grid.vectors @ Z.T)          # (M, n)
-    G = F - c
-    E, exact = _sign_vectors(n, n_draws, seed)
+    n, pre, E, exact = _grid_draws(grid, points, n_draws, seed)
+    F = phi(pre)                         # (M, n)
     lhs_vals = np.max(np.abs(F @ E.T), axis=0)
-    rhs_vals = 2.0 * np.max(G @ E.T, axis=0) + abs(c) * math.sqrt(n)
+    rhs_vals = 2.0 * np.max((F - c) @ E.T, axis=0) + abs(c) * math.sqrt(n)
     return _coupled_check("abs_removal", lhs_vals, rhs_vals, exact, seed)
 
 
 def check_contraction_single(grid: ConstraintGrid, points, phi, L_phi: float,
-                             c: float, weight_mats, heads,
+                             c: float, rows, heads,
                              n_draws: int = 4000, seed: int = 0) -> CheckReport:
     """Single-factor contraction: the Rademacher average of
     <f_j, phi(W_j z)> over a finite (W, f) family is bounded by
     (2 B L_phi / n) E sup_{w in grid} sum eps <w, z> + B |c| / sqrt(n).
 
-    Every row of every W_j must appear in the grid for the comparison to
-    be sound; B is the largest head l1 norm.
+    W_j is given by `rows[j]`, an index array into grid.vectors, so every
+    row of every W_j is a grid vector, as the comparison needs to be sound;
+    B is the largest head l1 norm.
     """
-    Z = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(Z)
-    for Wm in weight_mats:
-        for row in np.atleast_2d(Wm):
-            if np.min(np.linalg.norm(grid.vectors - row, axis=1)) > 1e-9:
-                raise ValueError("weight-matrix row not present in the grid")
+    n, pre, E, exact = _grid_draws(grid, points, n_draws, seed)
     B = max(float(np.sum(np.abs(f))) for f in heads)
-    V = np.array([np.asarray(f) @ phi(np.atleast_2d(Wm) @ Z.T)
-                  for Wm, f in zip(weight_mats, heads)])   # (J, n)
-    P = grid.vectors @ Z.T                                  # (M, n)
-    E, exact = _sign_vectors(n, n_draws, seed)
+    V = np.array([np.asarray(f) @ phi(pre[r]) for r, f in zip(rows, heads)])   # (J, n)
     lhs_vals = np.max(V @ E.T, axis=0) / n
-    lin_vals = np.max(P @ E.T, axis=0)
+    lin_vals = np.max(pre @ E.T, axis=0)
     rhs_vals = 2.0 * B * L_phi * lin_vals / n + B * abs(c) / math.sqrt(n)
     return _coupled_check("contraction_single", lhs_vals, rhs_vals, exact, seed)
 
@@ -197,11 +189,8 @@ def check_contraction_product(grid: ConstraintGrid, points, phi1, phi2,
     (B/n) E sup_{w1,w2 in grid} |sum eps phi1(<w1,z>) phi2(<w2,z>)|
     <= (4B(B_phi1 L_phi2 + B_phi2 L_phi1)/n) E sup_w sum eps <w,z>
        + B (2 B_phi2 |phi1(0)| + |k|) / sqrt(n)."""
-    Z = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(Z)
-    pre = grid.vectors @ Z.T
+    n, pre, E, exact = _grid_draws(grid, points, n_draws, seed)
     P1, P2 = phi1(pre), phi2(pre)        # (M, n)
-    E, exact = _sign_vectors(n, n_draws, seed)
     lhs_vals = B * np.array([np.max(np.abs((P1 * eps) @ P2.T)) for eps in E]) / n
     lin_vals = np.max(pre @ E.T, axis=0)
     rhs_vals = (4.0 * B * (B_phi1 * L_phi2 + B_phi2 * L_phi1) * lin_vals / n
@@ -273,12 +262,12 @@ def suite(spec: ActivationSpec, loss_cfg: LossConfig, seed: int, *, n_instances:
         grid = ConstraintGrid.random(dim, grid_size, B=2.0, seed=seed + 100 + i)
         reports.append(check_abs_removal(grid, Z, np.tanh, c=0.0,
                                          n_draws=n_draws, seed=seed + i))
-        mats = [grid.vectors[np.random.default_rng((seed, 2, i, j)).integers(
-            0, len(grid.vectors), 3)] for j in range(6)]
+        rows = [np.random.default_rng((seed, 2, i, j)).integers(0, len(grid.vectors), 3)
+                for j in range(6)]
         heads = [np.random.default_rng((seed, 3, i, j)).uniform(-0.5, 0.5, 3)
                  for j in range(6)]
         reports.append(check_contraction_single(
-            grid, Z, lambda x: 1.0 - np.tanh(x) ** 2, L_phi=0.77, c=1.0, weight_mats=mats,
+            grid, Z, lambda x: 1.0 - np.tanh(x) ** 2, L_phi=0.77, c=1.0, rows=rows,
             heads=heads, n_draws=n_draws, seed=seed + i))
         reports.append(check_contraction_product(
             grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,

@@ -208,6 +208,24 @@ def test_bound_that_overflows_is_a_numerical_failure_without_an_artifact(tmp_pat
     assert captured.out == "" and list(out.iterdir()) == []
 
 
+# the sup of exp(-x)relu(x)^k's third derivative overflows a float from k = 140 on
+EXPNEGRELU140 = ["--set", "activation.family=expnegrelu", "--set", "activation.k=140"]
+
+
+def _is_one_numerical_failure_line_without_an_artifact(capsys, out):
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: the constants of expnegrelu^140 are not finite\n"
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+def test_bound_of_an_activation_without_finite_constants_is_a_numerical_failure(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("expnegrelu", 140), ck)
+    out = tmp_path / "out"
+    assert run(EXPNEGRELU140 + ["--out", str(out), "bound", str(ck)]) == 2
+    _is_one_numerical_failure_line_without_an_artifact(capsys, out)
+
+
 def _is_usage_error_before_any_output(tmp_path, capsys, assignments, command, key=""):
     """The sweep's fast settings, then `--set` each of `assignments`, end `command` in one usage
     error that names `key`, before anything is printed or --out is made."""
@@ -300,6 +318,26 @@ def test_verify_linear_rademacher_samples_the_configured_draws(tmp_path):
 SWEEP_FAST = ["--set", "sweep.n_r_values=[5,10,20]", "--set", "sampling.n_0=8",
               "--set", "dims.p=4", "--set", "training.epochs=15",
               "--set", "training.log_every=5"]
+
+
+def test_sweep_of_an_activation_without_finite_constants_fails_before_training(
+        tmp_path, capsys, monkeypatch):
+    # the sweep evaluates its constants before any row, so no row trains; with
+    # constants given, the same activation sweeps
+    trained = []
+    real_train = experiment.train
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(1) or real_train(*args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})    # every row in this process
+    out = tmp_path / "out"
+    assert run(SWEEP_FAST + EXPNEGRELU140 + ["--out", str(out), "sweep"]) == 2
+    _is_one_numerical_failure_line_without_an_artifact(capsys, out)
+    assert trained == []
+    override = {name: 1.0 for name in ("L_sigma", "L_sigma1", "L_sigma2", "B_sigma", "B_sigma1")}
+    override.update(c0=0.0, c1=0.0, c2=0.0)
+    assert run(SWEEP_FAST + EXPNEGRELU140 + [
+        "--set", f"bound.constants_override={json.dumps(override)}",
+        "--out", str(out), "sweep"]) == 0
+    assert len(trained) == 3
 
 
 def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):

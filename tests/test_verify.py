@@ -104,28 +104,34 @@ def test_contraction_single_randomized():
         dim = int(g.integers(2, 5))
         Z = g.uniform(0, 1, (8, dim))
         grid = ConstraintGrid.random(dim, 40, B=2.0, seed=200 + i)
-        mats = [grid.vectors[g.integers(0, len(grid.vectors), 3)] for _ in range(5)]
+        rows = [g.integers(0, len(grid.vectors), 3) for _ in range(5)]
         heads = [g.uniform(-1, 1, 3) for _ in range(5)]
         rep = check_contraction_single(grid, Z, sigma1, L_phi=0.77, c=1.0,
-                                       weight_mats=mats, heads=heads)
+                                       rows=rows, heads=heads)
         assert rep.exact and rep.passed
 
 
-def test_contraction_single_rejects_off_grid_rows():
-    grid = ConstraintGrid.random(2, 10, B=2.0, seed=0)
-    Z = np.random.default_rng(0).uniform(0, 1, (4, 2))
-    with pytest.raises(ValueError):
-        check_contraction_single(grid, Z, np.tanh, L_phi=1.0, c=0.0,
-                                 weight_mats=[np.array([[9.0, 9.0]])],
-                                 heads=[np.ones(1)])
+def test_contraction_single_reads_rows_as_any_index_spelling():
+    # W_j is grid.vectors[rows[j]]: lists, arrays and negative indices name the same rows
+    grid = ConstraintGrid.random(3, 12, B=2.0, seed=4)
+    Z = np.random.default_rng(4).uniform(0, 1, (6, 3))
+    heads = [np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.25])]
+    M = len(grid.vectors)
+
+    def check(rows):
+        return check_contraction_single(grid, Z, np.tanh, L_phi=1.0, c=0.5, rows=rows,
+                                        heads=heads)
+    want = check([np.array([1, 4, 9]), np.array([0, 12])])
+    assert check([[1, 4, 9], [0, 12]]) == want
+    assert check([np.array([1 - M, 4 - M, 9 - M]), [-M, -1]]) == want
+    assert want.exact and want.passed
 
 
 def test_contraction_single_zero_heads():
     grid = ConstraintGrid.random(2, 10, B=2.0, seed=0)
     Z = np.random.default_rng(0).uniform(0, 1, (5, 2))
-    mats = [grid.vectors[:2]]
     rep = check_contraction_single(grid, Z, np.tanh, L_phi=1.0, c=0.0,
-                                   weight_mats=mats, heads=[np.zeros(2)])
+                                   rows=[[0, 1]], heads=[np.zeros(2)])
     assert rep.lhs == 0.0 and rep.passed
 
 
@@ -191,12 +197,12 @@ def test_sign_vector_checks_pinned_values():
     # vectors and its standard error is nonzero.
     grid = ConstraintGrid.random(dim=3, n_vectors=12, B=2.0, seed=7)
     Z = np.random.default_rng(11).uniform(0, 1, (24, 3))
-    mats = [grid.vectors[[1, 4, 9]], grid.vectors[[0, 2, 5]]]
+    rows = [[1, 4, 9], [0, 2, 5]]
     heads = [np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.25, 0.05])]
     reps = [
         check_abs_removal(grid, Z, np.tanh, c=0.5, n_draws=64, seed=3),
         check_contraction_single(grid, Z, lambda x: 1.0 - np.tanh(x) ** 2, L_phi=0.77,
-                                 c=1.0, weight_mats=mats, heads=heads, n_draws=64, seed=3),
+                                 c=1.0, rows=rows, heads=heads, n_draws=64, seed=3),
         check_contraction_product(grid, Z, np.tanh, np.tanh, B=1.0, B_phi1=1.0, B_phi2=1.0,
                                   L_phi1=1.0, L_phi2=1.0, k=0.5, n_draws=64, seed=3),
     ]
@@ -356,7 +362,24 @@ def test_symmetrization_requires_hypotheses():
 
 def test_report_serialization():
     rep = CheckReport(name="demo", lhs=1.0, rhs=2.0, std_error=0.1,
-                      passed=True, exact=False, n_draws=10, seed=0)
+                      exact=False, n_draws=10, seed=0)
     doc = rep.to_dict()
     assert doc["verdict"] == "PASS"
     assert doc["margin"] == 1.0
+
+
+_REPORT_KEYS = {"name", "lhs", "rhs", "margin", "std_error", "verdict", "exact", "n_draws", "seed"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rhs=st.floats(-1e6, 1e6), std_error=st.floats(0.0, 1e3), exact=st.booleans())
+def test_report_passes_up_to_its_slack_and_fails_just_above(rhs, std_error, exact):
+    # the one PASS rule: lhs <= rhs + 1e-9 when exact, + 3 standard errors when sampled
+    edge = rhs + (1e-9 if exact else 3.0 * std_error)
+    for lhs, verdict in ((edge, "PASS"), (np.nextafter(edge, math.inf), "FAIL")):
+        rep = CheckReport(name="edge", lhs=float(lhs), rhs=rhs, std_error=std_error,
+                          exact=exact, n_draws=2, seed=0)
+        assert rep.passed == (verdict == "PASS")
+        doc = rep.to_dict()
+        assert set(doc) == _REPORT_KEYS and len(doc) == 9
+        assert doc["verdict"] == verdict and doc["margin"] == rep.rhs - rep.lhs
