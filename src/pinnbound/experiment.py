@@ -99,10 +99,13 @@ def moment_constants(box) -> tuple[float, float]:
     """Root-mean-square norms of uniform points in the box: C_z over all its
     axes and C_z0 over the spatial ones (an initial point is (x, 0)).  On
     [a, b], E z^2 = (a^2 + a b + b^2) / 3, summed exactly and rounded once."""
-    from fractions import Fraction   # here, so that commands without a bound skip its import
-    ends = [map(Fraction, ab) for ab in _check_box(box).tolist()]
-    moments = [(a * a + a * b + b * b) / 3 for a, b in ends]
-    return math.sqrt(sum(moments)), math.sqrt(sum(moments[:-1]))
+    intervals = _check_box(box).tolist()
+    ends = [[n * (2**1074 // d) for n, d in map(float.as_integer_ratio, ab)] for ab in intervals]
+    moments = [a * a + a * b + b * b for a, b in ends]   # exact: each float is n / 2^1074
+    try:   # int / int rounds correctly
+        return tuple(math.sqrt(sum(m) / (3 << 2148)) for m in (moments, moments[:-1]))
+    except OverflowError:
+        raise OverflowError(f"the second moments of the box {intervals} exceed a float") from None
 
 
 def pearson(xs, ys) -> float | None:
@@ -265,9 +268,11 @@ def sweep_experiment(cfg: SweepConfig, row=None, cached=None, progress=None) -> 
     handed out are back; a KeyboardInterrupt or WorkerLost kills them at once.
     """
     row = row or sweep_row
-    # the rows' activation constants, once and before any row: constants that are not finite
-    # raise their OverflowError here, not after every row has trained
+    # the rows' activation constants and the bound at unit weight caps, once and before any
+    # row: what cannot be finite raises its OverflowError here, not after every row has trained
     cfg = replace(cfg, sigma_constants=cfg.sigma_constants or constants(cfg.activation))
+    bounds.generalization_bound(bounds.WeightStats(*[1.0] * 7), cfg.sigma_constants, cfg.loss,
+                                1, 1, *moment_constants(cfg.box))
     results = dict(cached or {})
     todo = sorted((idx for idx in range(len(cfg.n_r_values)) if idx not in results),
                   key=lambda idx: cfg.n_r_values[idx])      # pop() takes the largest N_r

@@ -2,9 +2,9 @@
 
 The network maps z = (x_1..x_d, t) to a velocity u = A1 @ sigma(W z) and
 a pressure p = <a2, sigma(W z)>.  Only W trains; A1 and a2 stay frozen.
-All space-time derivatives have closed forms built from sigma' and
-sigma'' of the pre-activations; `fields` is the one place they are
-evaluated; `field_eval` is its view over points with any leading axes.
+All space-time derivatives are sigma' and sigma'' of the pre-activations
+times the per-unit tables of `coefficient_tables`; `fields` is the one place
+they are evaluated; `field_eval` is its view over points with any leading axes.
 """
 
 from __future__ import annotations
@@ -73,6 +73,16 @@ class FieldEval:
         return (FieldEval(*vals) for vals in zip(*vars(self).values()))
 
 
+def coefficient_tables(weights: PinnWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The per-unit coefficients of the derivatives: H (p, 2d + d^2) multiplies sigma' into
+    [du_dt | grad_p | jac_u], jac_u[k, m] at 2d + k*d + m, and L (p, d) sigma'' into lap_u."""
+    W, A1, d = weights.W, weights.A1, weights.d
+    Wx = W[:, :d]
+    H = np.concatenate([W[:, d:] * A1.T, weights.a2[:, None] * Wx,
+                        (A1.T[:, :, None] * Wx[:, None, :]).reshape(-1, d * d)], axis=1)
+    return H, (Wx * Wx).sum(axis=1, keepdims=True) * A1.T
+
+
 def fields(weights: PinnWeights, spec: ActivationSpec, Z,
            derivatives: bool = True) -> tuple[FieldEval, tuple]:
     """Closed-form field at each row of Z (N, d+1): values and the space-time
@@ -83,22 +93,17 @@ def fields(weights: PinnWeights, spec: ActivationSpec, Z,
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != weights.d + 1:
         raise ValueError(f"points have shape {Z.shape}, expected (N, {weights.d + 1})")
-    W, A1, a2 = weights.W, weights.A1, weights.a2
     d = weights.d
-    stack = eval_derivs(spec, Z @ W.T)
+    stack = eval_derivs(spec, Z @ weights.W.T)
     s0, s1, s2, _ = stack
-    u, p_val = s0 @ A1.T, s0 @ a2
+    u, p_val = s0 @ weights.A1.T, s0 @ weights.a2
     if not derivatives:
         return FieldEval(u, p_val, None, None, None, None, None), stack
-    Wx = W[:, :d]
-    # sigma' times per-unit heads: [du_dt | grad_p | jac_u], jac_u[k, m] at 2d + k*d + m
-    first = s1 @ np.hstack([W[:, d:] * A1.T, a2[:, None] * Wx,
-                            (A1.T[:, :, None] * Wx[:, None, :]).reshape(-1, d * d)])
+    H, L = coefficient_tables(weights)
+    first = s1 @ H
     jac = first[:, 2 * d:].reshape(-1, d, d)
-    fe = FieldEval(u=u, p_val=p_val, du_dt=first[:, :d], jac_u=jac, grad_p=first[:, d:2 * d],
-                   lap_u=s2 @ (np.sum(Wx * Wx, axis=1)[:, None] * A1.T),
-                   div_u=jac.trace(axis1=1, axis2=2))
-    return fe, stack
+    return FieldEval(u=u, p_val=p_val, du_dt=first[:, :d], jac_u=jac, grad_p=first[:, d:2 * d],
+                     lap_u=s2 @ L, div_u=jac.trace(axis1=1, axis2=2)), stack
 
 
 def field_eval(weights: PinnWeights, spec: ActivationSpec, z) -> FieldEval:

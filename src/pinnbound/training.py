@@ -1,10 +1,8 @@
 """Hand-derived risk gradient with respect to W, AdamW, and the training loop.
 
-The gradient chains the Huber derivative through the closed-form field
-derivatives of `network.fields`.  Because those closed forms already
-contain sigma' and sigma'', the gradient needs sigma''' (supplied
-analytically by the activation module).  A1 and a2 never receive updates.
-The initial-condition targets are the collocation set's own `targets`.
+The gradient is the reverse pass of `network.fields`, with sigma''' from the
+activation module besides; A1 and a2 never receive updates.  The
+initial-condition targets are the collocation set's own `targets`.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationSpec, eval_derivs  # noqa: F401  (perfbench traces it here)
-from .network import PinnWeights, fields
+from .network import PinnWeights, coefficient_tables, fields
 from .residual import (CollocationSet, LossConfig, RiskBreakdown, huber_grad,
                        initial_losses, interior_losses, momentum_residual)
 
@@ -75,53 +73,45 @@ def risk_breakdown(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
     return RiskBreakdown.average(momentum, divergence, np.concatenate(initial))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outer products of the columns of a (i, N) and b (j, N), as a row-major (i*j, N)."""
-    return np.multiply(a[:, None, :], b, order="C").reshape(-1, a.shape[-1])
+def _pull(table: np.ndarray, bar: np.ndarray, z: np.ndarray, s: np.ndarray, rest=()):
+    """sum_{n, r} table[q, r] bar[r, n] z[j, n] s[n, q] as (p, j), the points summed first in
+    one product of the rows bar (x) z with s; rows `rest` ride along and return as rest @ s."""
+    r, m = len(bar), len(z)
+    rows = np.empty((r * m + len(rest), z.shape[1]))
+    np.multiply(bar[:, None, :], z, out=rows[:r * m].reshape(r, m, -1))
+    rows[r * m:] = np.reshape(rest, (-1, z.shape[1]))
+    P = rows @ s
+    return (P[:r * m].reshape(r, m, -1).T @ table[:, :, None])[..., 0], P[r * m:]
 
 
 def grad_risk(weights: PinnWeights, spec: ActivationSpec, cfg: LossConfig,
               colloc: CollocationSet) -> np.ndarray:
-    """Exact gradient of the empirical risk with respect to W.  Each term of
-    dR/dW[q, j] is sigma^(l)(W_q . z) times a product of per-point vectors
-    (the clipped Huber slopes g and gd, t1 = g . grad u, (u, 1), z) times a
-    coefficient of unit q, so each level l first sums over the points, in
-    one product F_l @ s_l.  At Huber kinks both branch slopes agree.
-    """
-    W, A1, a2 = weights.W, weights.A1, weights.a2
-    d, p = weights.d, weights.p
+    """Exact gradient of the empirical risk in W, the reverse pass of `network.fields`: the
+    adjoints of u, [du_dt | grad_p | jac_u] and lap_u reach W through sigma^(l+1)(W_q . z) z
+    times A1.T, H and L, and through the W entries of H and L.  Huber's slopes agree at kinks."""
+    A1, a2, d = weights.A1, weights.a2, weights.d
+    H, L = coefficient_tables(weights)
     fe, (_, s1, s2, s3) = fields(weights, spec, colloc.interior)
-    Wx, z = W[:, :d], colloc.interior.T.copy()
-    # The per-point vectors are rows (r, N), so that their products run along N.
+    z = colloc.interior.T.copy()
+    # The adjoints are rows (r, N), so that their products run along N; lap_u's is -nu g.
     g = huber_grad(cfg.delta, momentum_residual(fe, cfg.nu)).T.copy()
-    t1 = np.einsum("kn,nkm->mn", g, fe.jac_u)
-    gd = cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)[None]
-    X = np.vstack([_outer(g, np.vstack([fe.u.T, np.ones_like(gd)])), g, gd])  # g (u, 1), g, gd
-
-    def via_A1(P):  # sum_k A1[k, q] P[k*r + j, q] for P of shape (d*r, p)
-        return np.einsum("kq,kjq->qj", A1, P.reshape(d, -1, p))
-
-    # sigma': u in (u . grad) u through W_q . z (t1 z); the explicit W entries
-    # of du/dt and grad u (g (u, 1)), of grad p (a2 g) and of div u (A1 gd).
-    nz = d * (d + 1)
-    P1 = np.vstack([X[:nz] + _outer(t1, z), X[nz:]]) @ s1
-    G = via_A1(P1[:nz])
-    G[:, :d] += (a2 * P1[nz:-1] + P1[-1] * A1).T
-    # sigma'': du/dt and grad u through W_q . z (A1 times a row of W), grad p
-    # (a2 Wx) and div u (the divergence weights) likewise; the W entries of
-    # the Laplacian's row norms (-2 nu A1 g Wx).
-    P2 = np.vstack([_outer(X, z), g]) @ s2
-    coef = np.vstack([(A1[:, None, :] * W.T).reshape(nz, p), a2 * Wx.T,
-                      np.einsum("kq,qk->q", A1, Wx)])
-    G += np.einsum("iq,ijq->qj", coef, P2[:-d].reshape(-1, d + 1, p))
-    G[:, :d] -= 2.0 * cfg.nu * via_A1(P2[-d:]) * Wx
-    # sigma''': the Laplacian through W_q . z (-nu A1 g |Wx_q|^2 z).
-    G -= cfg.nu * np.sum(Wx * Wx, axis=1)[:, None] * via_A1(_outer(g, z) @ s3)
+    bar_first = np.empty((2 * d + d * d, colloc.n_interior))      # [du_dt | grad_p | jac_u]
+    bar_first[:d] = bar_first[d:2 * d] = g
+    np.multiply(g[:, None, :], fe.u.T, out=bar_first[2 * d:].reshape(d, d, -1))  # (u . grad) u
+    bar_first[2 * d::d + 1] += cfg.lambda0 * huber_grad(cfg.delta, fe.div_u)   # div_u = tr jac_u
+    bar_u = np.einsum("kn,nkm->mn", g, fe.jac_u)                  # u in (u . grad) u
+    G, F1 = _pull(A1.T, bar_u, z, s1, rest=bar_first)
+    G2, F2 = _pull(H, bar_first, z, s2, rest=-cfg.nu * g)
+    G += G2 + _pull(L, -cfg.nu * g, z, s3)[0]
+    # The W entries of H (A1 W[q, d], a2 Wx, A1 Wx) and of L (A1 |Wx_q|^2).
+    G[:, d] += np.einsum("kq,kq->q", A1, F1[:d])
+    G[:, :d] += a2[:, None] * F1[d:2 * d].T + np.einsum("kq,kmq->qm", A1, F1[2 * d:].reshape(d, d, -1))
+    G[:, :d] += 2.0 * np.einsum("kq,kq->q", A1, F2)[:, None] * weights.W[:, :d]
     G /= colloc.n_interior
-    # t = 0, sigma': u through W_q . z, where z = (x, 0) has no time entry.
+    # t = 0: u through W_q . z, where z = (x, 0) has no time entry.
     fe0, (_, s1_0, _, _) = fields(weights, spec, colloc.initial_spacetime, derivatives=False)
     g0 = cfg.lambda1 * huber_grad(cfg.delta, fe0.u - colloc.targets)
-    G[:, :d] += via_A1(_outer(g0.T, colloc.initial.T) @ s1_0) / colloc.n_initial
+    G[:, :d] += _pull(A1.T, g0.T, colloc.initial.T, s1_0)[0] / colloc.n_initial
     return G
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pinnbound import (ActivationSpec, LossConfig, constants,
+from pinnbound import (ActivationSpec, LossConfig, WeightStats, constants,
                        generalization_bound, init_weights, load_checkpoint,
                        moment_constants, save_checkpoint, weight_stats)
 from pinnbound import cli, experiment
@@ -212,9 +212,10 @@ def test_bound_that_overflows_is_a_numerical_failure_without_an_artifact(tmp_pat
 EXPNEGRELU140 = ["--set", "activation.family=expnegrelu", "--set", "activation.k=140"]
 
 
-def _is_one_numerical_failure_line_without_an_artifact(capsys, out):
+def _is_one_numerical_failure_line_without_an_artifact(
+        capsys, out, why="the constants of expnegrelu^140 are not finite"):
     captured = capsys.readouterr()
-    assert captured.err == "numerical failure: the constants of expnegrelu^140 are not finite\n"
+    assert captured.err == f"numerical failure: {why}\n"
     assert captured.out == "" and list(out.iterdir()) == []
 
 
@@ -331,6 +332,12 @@ def test_sweep_of_an_activation_without_finite_constants_fails_before_training(
     out = tmp_path / "out"
     assert run(SWEEP_FAST + EXPNEGRELU140 + ["--out", str(out), "sweep"]) == 2
     _is_one_numerical_failure_line_without_an_artifact(capsys, out)
+    # from k = 100 to 139 the constants are finite, but the bound at unit weight caps is not
+    for k in (100, 139):
+        assert run(SWEEP_FAST + ["--set", "activation.family=expnegrelu",
+                                 "--set", f"activation.k={k}", "--out", str(out), "sweep"]) == 2
+        _is_one_numerical_failure_line_without_an_artifact(
+            capsys, out, "the bound is not finite: total = inf")
     assert trained == []
     override = {name: 1.0 for name in ("L_sigma", "L_sigma1", "L_sigma2", "B_sigma", "B_sigma1")}
     override.update(c0=0.0, c1=0.0, c2=0.0)
@@ -338,6 +345,45 @@ def test_sweep_of_an_activation_without_finite_constants_fails_before_training(
         "--set", f"bound.constants_override={json.dumps(override)}",
         "--out", str(out), "sweep"]) == 0
     assert len(trained) == 3
+
+
+def test_sweep_of_an_activation_whose_unit_caps_bound_is_finite_trains_its_rows(
+        tmp_path, capsys, monkeypatch):
+    # The limit of the sweep's check before any row: at exp(-x)relu^99 the bound at unit
+    # weight caps and one point each is finite, so rows train, and only a trained row's
+    # bound overflows
+    k99 = SWEEP_FAST + ["--set", "activation.family=expnegrelu", "--set", "activation.k=99"]
+    s = _settings(resolve_config(build_parser().parse_args(k99 + ["sweep"])), "sweep")[1]
+    unit = generalization_bound(WeightStats(*[1.0] * 7), constants(s.activation), s.loss,
+                                1, 1, *moment_constants(s.box))
+    assert 1e308 < unit.total < math.inf
+    trained = []
+    real_train = experiment.train
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(1) or real_train(*args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})    # every row in this process
+    out = tmp_path / "out"
+    assert run(k99 + ["--out", str(out), "sweep"]) == 2
+    _is_one_numerical_failure_line_without_an_artifact(
+        capsys, out, "the bound is not finite: total = inf")
+    assert trained == [1]
+
+
+def test_box_whose_moments_overflow_a_float_is_a_numerical_failure_that_names_it(
+        tmp_path, capsys, monkeypatch):
+    # the box's exact second moment, 1e400 / 3, exceeds a float: the sweep ends before any
+    # row trains, and `sweep` and `bound` say which box
+    box = ["--set", "sampling.box=[[0,1],[0,1],[0,1e200]]"]
+    why = "the second moments of the box [[0.0, 1.0], [0.0, 1.0], [0.0, 1e+200]] exceed a float"
+    trained = []
+    monkeypatch.setattr(experiment, "train", lambda *args: trained.append(1))
+    out = tmp_path / "out"
+    assert run(SWEEP_FAST + box + ["--out", str(out), "sweep"]) == 2
+    _is_one_numerical_failure_line_without_an_artifact(capsys, out, why)
+    assert trained == []
+    ck = tmp_path / "ck.json"
+    save_checkpoint(init_weights(2, 5, seed=2), ActivationSpec.from_name("tanh", 1), ck)
+    assert run(box + ["--out", str(out), "bound", str(ck)]) == 2
+    _is_one_numerical_failure_line_without_an_artifact(capsys, out, why)
 
 
 def test_train_and_sweep_row_share_the_seed_layout(tmp_path, monkeypatch):

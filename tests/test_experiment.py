@@ -3,11 +3,14 @@ import functools
 import math
 import multiprocessing
 import os
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnbound import (ActivationSpec, CollocationSet, LossConfig, SweepConfig, TrainConfig,
                        constants, empirical_risk, init_weights, measure_gap, moment_constants,
@@ -147,6 +150,25 @@ def test_moment_constants_closed_form(box, second_z, second_z0):
     assert sampled == pytest.approx([math.sqrt(second_z), math.sqrt(second_z0)], rel=0.01)
     with pytest.raises(ValueError):
         moment_constants(((0, 1), (1, 1), (0, 1)))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite).map(sorted).filter(lambda ab: ab[0] < ab[1]),
+                min_size=2, max_size=4))
+def test_moment_constants_round_the_exact_moments_once(box):
+    # over floats of every magnitude, subnormal to huge: the exact rational moments,
+    # rounded once; where they exceed a float, an OverflowError that names the box
+    moments = [(a * a + a * b + b * b) / 3 for a, b in (map(Fraction, ab) for ab in box)]
+    try:
+        exact = math.sqrt(sum(moments)), math.sqrt(sum(moments[:-1]))
+    except OverflowError:
+        with pytest.raises(OverflowError, match=re.escape(f"the box {[list(ab) for ab in box]}")):
+            moment_constants(box)
+    else:
+        assert moment_constants(box) == exact
 
 
 def test_pearson_reference_cases():

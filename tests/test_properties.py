@@ -22,6 +22,7 @@ from pinnbound import (ActivationSpec, CollocationSet, LossConfig, PinnWeights, 
                        momentum_residual, risk_breakdown, save_checkpoint,
                        taylor_green_field, taylor_green_initial, weight_stats)
 from pinnbound.activations import _BLOCK
+from pinnbound.experiment import FIGURE1_BOX, UNIT_BOX, sample_initial, sample_interior
 
 from conftest import FAMILIES
 
@@ -321,6 +322,20 @@ def test_grad_risk_matches_term_by_term_reference(d, p, spec, seed, n_r, n_0, de
     G = grad_risk(weights, spec, cfg, colloc)
     ref = reference_grad_risk(weights, spec, cfg, colloc)
     assert G.shape == ref.shape == (p, d + 1)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family", ["tanh", "expnegrelu"])
+@pytest.mark.parametrize("n_r, n_0, box", [(216, 500, UNIT_BOX), (216, 2500, FIGURE1_BOX)],
+                         ids=["desk", "figure1"])
+def test_grad_risk_matches_term_by_term_reference_at_run_sizes(family, n_r, n_0, box):
+    # the sizes that train: width 64, and point sums long enough for blocked BLAS
+    weights = init_weights(2, 64, seed=5)
+    spec = ActivationSpec.from_name(family, 3)
+    colloc = CollocationSet(sample_interior(n_r, box, 6), sample_initial(n_0, box[:-1], 7),
+                            taylor_green_initial(0.01))
+    G = grad_risk(weights, spec, LossConfig(), colloc)
+    ref = reference_grad_risk(weights, spec, LossConfig(), colloc)
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
